@@ -98,4 +98,10 @@ fi
 cargo run -q -p tabs-bench --release --bin tables -- overload --quick --json /tmp/bench.json
 cargo run -q -p tabs-bench --release --bin tables -- checkbench /tmp/bench.json
 
+echo "==> benchmark (bounded): fmt, clippy, unit tests, 2 s smoke run + result-file check"
+# benchmark/ is its own workspace (BENCHMARK.json); check.sh builds it
+# offline into the root target directory. Numbers come from the full
+# 'bash benchmark/run.sh', never from this smoke run.
+bash benchmark/check.sh
+
 echo "CI green."

@@ -412,8 +412,9 @@ fn trace(_flags: &Flags) -> i32 {
     let outcome = app.end_transaction(tid).expect("end");
     assert!(outcome.is_committed(), "distributed write must commit");
 
-    // Commit chases phase-2 acks synchronously, so by now the timeline
-    // holds the whole protocol exchange.
+    // The commit returned at the commit point; wait for phase 2 to drain
+    // so the timeline holds the whole protocol exchange.
+    assert!(cluster.quiesce(Duration::from_secs(5)), "phase 2 never drained");
     print!("{}", cluster.timeline().render_swimlane(tid));
 
     // Second act: a manufactured cross-node deadlock, so the detector's

@@ -364,7 +364,10 @@ fn replication_scenario(
 
     // No member may be left in doubt or holding locks, and every
     // member's shard snapshot must be identical — the rejoined minority
-    // converged.
+    // converged. Commits (the repair copy included) are acknowledged at
+    // the commit point, so first let every live coordinator's phase 2
+    // drain; the polls below then only wait for in-doubt resolution.
+    cluster.quiesce(CHAOS_TIMEOUTS.ack_deadline);
     let in_doubt_deadline = Instant::now() + Duration::from_secs(8);
     {
         let r1 = m1.as_ref().expect("member 1 rig present");

@@ -983,6 +983,9 @@ impl ChaosRunner {
         // Full-cluster audit: no leaked locks, no unresolved Tids, and
         // balances the model accepts (the commit record was durable, so
         // the transfer must have landed whatever the client was told).
+        // Commits are acknowledged at the commit point: let the live
+        // coordinators' phase 2 drain before reading participant state.
+        cluster.quiesce(PARTITION_TIMEOUTS.ack_deadline);
         let deadline = Instant::now() + Duration::from_secs(8);
         poll_locks_drained(&a1b, "rebooted coordinator server", deadline).map_err(&fail)?;
         poll_locks_drained(&a2, "survivor server", deadline).map_err(&fail)?;

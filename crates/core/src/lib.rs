@@ -16,8 +16,8 @@
 //! one roof (see [`prelude`]).
 
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Weak};
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -256,6 +256,9 @@ pub struct Cluster {
     perfs: Mutex<HashMap<NodeId, Arc<PerfCounters>>>,
     traces: Mutex<HashMap<NodeId, Arc<TraceCollector>>>,
     metrics: Mutex<HashMap<NodeId, Arc<Metrics>>>,
+    /// The Transaction Manager of each node's latest boot, for
+    /// [`Cluster::quiesce`].
+    tms: Mutex<HashMap<NodeId, Weak<TransactionManager>>>,
     /// Durable anchor for versioned shard maps: service → (version,
     /// encoded map). Models the replicated cluster-configuration store a
     /// real deployment would keep the placement map in; like `disks` and
@@ -289,6 +292,7 @@ impl Cluster {
             perfs: Mutex::new(HashMap::new()),
             traces: Mutex::new(HashMap::new()),
             metrics: Mutex::new(HashMap::new()),
+            tms: Mutex::new(HashMap::new()),
             shard_maps: Mutex::new(HashMap::new()),
             config,
         })
@@ -371,6 +375,22 @@ impl Cluster {
         Timeline::from_collectors(&collectors)
     }
 
+    /// Waits until every booted node's phase-2 chaser has nothing pending
+    /// (see [`TransactionManager::await_phase2`]); returns whether that
+    /// happened within `timeout`.
+    ///
+    /// A distributed commit is acknowledged to its caller at the commit
+    /// point, while the participants are still applying the decision. Code
+    /// that reads participant-side state right after `end_transaction` —
+    /// counters, lock tables, logs, trace positions — calls this first, so
+    /// every decided transaction has been applied and acknowledged
+    /// cluster-wide. Crashed nodes hold no pending chases.
+    pub fn quiesce(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let tms: Vec<_> = self.tms.lock().values().filter_map(Weak::upgrade).collect();
+        tms.iter().all(|tm| tm.await_phase2(deadline.saturating_duration_since(Instant::now())))
+    }
+
     /// Aggregated counter snapshot across all nodes ever booted.
     pub fn perf_all(&self) -> tabs_kernel::PerfSnapshot {
         let perfs = self.perfs.lock();
@@ -448,6 +468,17 @@ impl Cluster {
         if self.config.deadlines.is_some() {
             tm.set_deadline_metrics(self.metrics(id).counter("deadline.expired"));
         }
+        {
+            // The background half of commit is visible in the registry:
+            // what the chaser re-sent, what it gave up on, what it owes.
+            let metrics = self.metrics(id);
+            tm.set_phase2_metrics(
+                metrics.counter("tm.phase2.retransmits"),
+                metrics.counter("tm.phase2.expired"),
+                metrics.counter("tm.phase2.pending"),
+            );
+        }
+        self.tms.lock().insert(id, Arc::downgrade(&tm));
         let ns = NameServer::new(id);
         // Seed the fresh Name Server from the durable map store: a node
         // that crashed mid-migration reboots already knowing the newest
@@ -748,13 +779,15 @@ impl Node {
     }
 
     /// Simulates a node crash: the node vanishes from the network, every
-    /// process wakes and exits, and all volatile state (buffer pool
-    /// frames, un-forced log records, lock tables, transaction registry)
-    /// is lost. Non-volatile storage survives in the cluster.
+    /// process (and the phase-2 chaser) wakes and exits, and all volatile
+    /// state (buffer pool frames, un-forced log records, lock tables,
+    /// transaction registry, decisions still being chased) is lost.
+    /// Non-volatile storage survives in the cluster.
     pub fn crash(self) {
         self.cluster.net.detach(self.id);
         self.kernel.shutdown();
         self.kernel.join_all();
+        self.tm.stop_phase2();
         self.pool.invalidate_volatile();
         // Local registrations die with the node; permanent names come back
         // when servers re-register after reboot.
@@ -881,6 +914,7 @@ mod tests {
         set(&app, &ds1.send_right(), tid, 0, 100);
         set(&app, remote_s, tid, 0, 200);
         assert!(app.end_transaction(tid).unwrap().is_committed());
+        assert!(cluster.quiesce(Duration::from_secs(5)));
 
         // Both nodes see committed values in fresh transactions.
         let t2 = app.begin_transaction(Tid::NULL).unwrap();
@@ -964,10 +998,9 @@ mod tests {
         drop(ds2);
         n2.crash();
 
-        // Meanwhile the coordinator resolves the transaction (node 2 is
-        // unreachable, so commit can't get acks — commit on node 1 only).
-        // For the test we record the outcome as committed on node 1.
-        // (A full end_transaction would block chasing acks.)
+        // Meanwhile the coordinator resolves the transaction: for the
+        // test we record the outcome as committed on node 1 directly (its
+        // prepare round could not reach the crashed node 2).
         n1.rm.log_begin(tid, Tid::NULL);
         n1.rm.log_commit(tid).unwrap();
         n1.tm.load_recovery(&[tid], &[], &[]);

@@ -8,7 +8,9 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use tabs_kernel::{PerfCounters, PerfSnapshot, PrimitiveOp};
 
-/// A monotonically increasing named counter.
+/// A named counter: monotonically increasing through [`Counter::inc`] /
+/// [`Counter::add`], or a *reading* of some current level when its owner
+/// only ever calls [`Counter::set`] (e.g. `tm.phase2.pending`).
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
     value: Arc<AtomicU64>,
@@ -23,6 +25,11 @@ impl Counter {
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Overwrites the value: publishes a reading rather than a count.
+    pub fn set(&self, n: u64) {
+        self.value.store(n, Ordering::Relaxed);
     }
 
     /// Current value.

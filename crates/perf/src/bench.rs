@@ -218,12 +218,21 @@ fn snapshot_to_f(delta: PerfSnapshot) -> [f64; 9] {
     out
 }
 
+/// How long a count run waits for phase 2 to drain before snapshotting.
+const QUIESCE: Duration = Duration::from_secs(5);
+
 /// Runs one benchmark: `warmup` unmeasured transactions, then `iters`
 /// measured ones, splitting counters at the commit point.
+///
+/// Elapsed time is what the caller waits: it stops when `end_transaction`
+/// returns, at the commit point. The commit-phase counts are cluster-wide
+/// totals, so each one is read only after the participants' share of
+/// phase 2 has drained ([`tabs_core::Cluster::quiesce`]).
 pub fn run(bench: &Benchmark, world: &BenchWorld, warmup: u32, iters: u32) -> BenchResult {
     for _ in 0..warmup {
         let _ = world.app.run(|tid| (bench.body)(world, tid));
     }
+    world.cluster.quiesce(QUIESCE);
     let mut pre = [0.0f64; 9];
     let mut com = [0.0f64; 9];
     let mut elapsed = Duration::ZERO;
@@ -244,6 +253,7 @@ pub fn run(bench: &Benchmark, world: &BenchWorld, warmup: u32, iters: u32) -> Be
             continue;
         }
         elapsed += t0.elapsed();
+        world.cluster.quiesce(QUIESCE);
         let s2 = world.cluster.perf_all();
         let dpre = snapshot_to_f(s1.since(&s0));
         let dcom = snapshot_to_f(s2.since(&s1));

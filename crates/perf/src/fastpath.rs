@@ -30,7 +30,6 @@
 //! both. Counts are deterministic, so the gate holds in `--quick` runs
 //! too.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tabs_core::{Cluster, ClusterConfig, CommitPathPolicy, NodeId, TmTimeouts};
@@ -50,13 +49,13 @@ const AUDITS_PER_ROUND: u64 = 8;
 const WRITES_PER_ROUND: u64 = 2;
 
 /// Timeouts that make the datagram counts exact: the retransmit interval
-/// exceeds the ack deadline, so every background ack chase sends its
-/// decision datagram exactly once, and the in-process network delivers
-/// votes and acks far inside every deadline.
+/// is far longer than the in-process network takes to deliver a vote or
+/// an ack, so no prepare or decision datagram is ever sent twice, however
+/// the scheduler treats a loaded single core.
 const FASTPATH_TIMEOUTS: TmTimeouts = TmTimeouts {
     retransmit: Duration::from_secs(2),
     vote_deadline: Duration::from_secs(5),
-    ack_deadline: Duration::from_millis(250),
+    ack_deadline: Duration::from_secs(5),
 };
 
 /// Measurements from one policy's run of the fast-path workload.
@@ -145,23 +144,14 @@ impl FastpathRun {
     }
 }
 
-/// Polls the cluster's datagram/force totals until two consecutive
-/// samples agree, so background ack chases and participant-side commit
-/// forces are all accounted before a snapshot is taken.
-fn settle(cluster: &Arc<Cluster>) {
-    let deadline = Instant::now() + Duration::from_secs(2);
-    let sample = |c: &Arc<Cluster>| {
-        let s = c.perf_all();
-        (s.get(PrimitiveOp::Datagram), s.get(PrimitiveOp::StableStorageWrite))
-    };
-    let mut last = sample(cluster);
-    while Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(30));
-        let now = sample(cluster);
-        if now == last {
-            return;
-        }
-        last = now;
+/// Waits for every decided transaction's phase 2 to finish, so the
+/// participants' commit forces and acknowledgements are all accounted
+/// before a snapshot is taken.
+fn settle(cluster: &Cluster) -> Result<(), String> {
+    if cluster.quiesce(Duration::from_secs(5)) {
+        Ok(())
+    } else {
+        Err("phase 2 never drained".into())
     }
 }
 
@@ -211,11 +201,11 @@ pub fn run_policy(policy: CommitPathPolicy, rounds: u64, seed: u64) -> Result<Fa
 
     // Warm up both transaction shapes so name-server lookups and session
     // establishment land outside the measured window, then wait for the
-    // warm-up's background 2PC traffic to drain.
+    // warm-up's phase 2 to drain.
     audit(0, 1).map_err(|e| fail(format!("warmup audit: {e}")))?;
     transfer(0, 1, 1).map_err(|e| fail(format!("warmup transfer: {e}")))?;
     transfer(1, 0, 1).map_err(|e| fail(format!("warmup transfer undo: {e}")))?;
-    settle(&cluster);
+    settle(&cluster).map_err(&fail)?;
 
     let perf_before = cluster.perf_all();
     let m1_before = cluster.metrics(NodeId(1)).snapshot();
@@ -245,9 +235,9 @@ pub fn run_policy(policy: CommitPathPolicy, rounds: u64, seed: u64) -> Result<Fa
     }
     let elapsed = start.elapsed();
 
-    // Let participant-side commits and ack chases finish before the
+    // Let participant-side commits and their acks finish before the
     // after-snapshot, so every commit's full cost is attributed.
-    settle(&cluster);
+    settle(&cluster).map_err(&fail)?;
     let delta = cluster.perf_all().since(&perf_before);
     let m1 = cluster.metrics(NodeId(1)).snapshot();
     let m2 = cluster.metrics(NodeId(2)).snapshot();

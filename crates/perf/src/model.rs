@@ -11,7 +11,12 @@
 //!   execution of succeeding transactions." Modelled by zeroing local
 //!   small/large message counts and halving commit datagram counts for
 //!   multi-node write transactions (the phase-2 round leaves the critical
-//!   path).
+//!   path). The commit overlap is no longer only projected: the product
+//!   acknowledges a distributed write at the commit point and delivers
+//!   phase 2 from a background chaser (DESIGN.md §15), so the *measured*
+//!   elapsed of the multi-node write rows has lost that round too. The
+//!   counts this module prices are Table 5-3's cluster-wide totals, which
+//!   did not change; only the longest path did.
 //! - **New Primitive Times**: the improved-architecture counts re-priced
 //!   with the Table 5-5 achievable primitive times.
 

@@ -16,6 +16,13 @@
 //! commit the child's locks and enlistments transfer to the parent; its
 //! tid joins the commit's *merged* set so remote participants recognize
 //! its log records and locks at prepare time.
+//!
+//! Commit acknowledgement (§5.3, "Improved TABS Architecture"): a
+//! distributed commit returns to its caller at the commit point — the
+//! forced commit record — after sending each `Commit` datagram once;
+//! delivery of the decision is the [`phase2`] chaser's job.
+
+mod phase2;
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -158,12 +165,15 @@ struct TxInfo {
     merged: Vec<Tid>,
     /// Votes received from commit-tree children (during phase 1).
     votes: HashMap<NodeId, Vote>,
-    /// Phase-2 acknowledgements received.
-    acks: HashSet<NodeId>,
     /// Children that voted yes (need phase 2).
     yes_children: Vec<NodeId>,
     /// Parent node when this transaction's work here is remote-initiated.
     remote_parent: Option<NodeId>,
+    /// The coordinator has every vote and is writing (or has written) the
+    /// commit record: from here on an asynchronous abort — a suspicion
+    /// callback, a deadlock victim notice — must lose, or it would undo a
+    /// transaction whose commit is being acknowledged.
+    deciding: bool,
 }
 
 impl TxInfo {
@@ -174,9 +184,9 @@ impl TxInfo {
             participants: HashMap::new(),
             merged: vec![tid],
             votes: HashMap::new(),
-            acks: HashSet::new(),
             yes_children: Vec::new(),
             remote_parent: None,
+            deciding: false,
         }
     }
 }
@@ -192,7 +202,8 @@ pub struct TmTimeouts {
     pub retransmit: Duration,
     /// Total time to wait for votes before presuming failure and aborting.
     pub vote_deadline: Duration,
-    /// Total time to chase phase-2 acknowledgements.
+    /// Total time the phase-2 chaser keeps retransmitting a decision
+    /// before giving up on its acknowledgements.
     pub ack_deadline: Duration,
 }
 
@@ -323,6 +334,17 @@ pub struct TransactionManager {
     deadlines: Mutex<HashMap<Tid, Deadline>>,
     /// `deadline.expired`: commits refused (aborted) for expired budget.
     deadline_expired: Mutex<Option<Counter>>,
+    /// Decisions still owed an acknowledgement, and the one background
+    /// thread that chases them (see [`phase2`]).
+    phase2: Arc<phase2::Phase2>,
+}
+
+impl Drop for TransactionManager {
+    fn drop(&mut self) {
+        // May run on the chaser thread itself (it briefly holds a strong
+        // reference per tick), so signal without joining.
+        self.phase2.stop(false);
+    }
 }
 
 impl std::fmt::Debug for TransactionManager {
@@ -343,7 +365,7 @@ impl TransactionManager {
         rm: Arc<RecoveryManager>,
         perf: Arc<PerfCounters>,
     ) -> Arc<Self> {
-        Arc::new(Self {
+        let tm = Arc::new(Self {
             node,
             incarnation,
             seq: AtomicU64::new(1),
@@ -369,7 +391,10 @@ impl TransactionManager {
             acks_abandoned: Mutex::new(None),
             deadlines: Mutex::new(HashMap::new()),
             deadline_expired: Mutex::new(None),
-        })
+            phase2: Arc::default(),
+        });
+        phase2::Phase2::start(&tm);
+        tm
     }
 
     /// Selects the replica-set policy. [`ReplicationPolicy::default`]
@@ -686,6 +711,10 @@ impl TransactionManager {
                 self.renotify_abort(tid);
                 return Ok(());
             }
+            if info.deciding {
+                // Too late: the commit decision has been claimed.
+                return Err(TmError::Unknown(tid));
+            }
             info.phase = TxPhase::Aborted;
             (info.merged.clone(), info.participants.clone())
         };
@@ -700,16 +729,9 @@ impl TransactionManager {
         }
         self.outcomes.lock().insert(tid, false);
         self.deadlines.lock().remove(&tid);
-        // Tell remote children (of every merged tid) to abort; chase acks
-        // in the background so the caller is not delayed.
-        let transport = self.transport();
-        let mut children: HashSet<NodeId> = HashSet::new();
-        for t in &merged {
-            children.extend(transport.children(*t));
-        }
-        if !children.is_empty() {
-            self.chase_acks_background(tid, children, CommitMsg::Abort { tid });
-        }
+        // Tell remote children (of every merged tid) to abort; the chaser
+        // collects their acks so the caller is not delayed.
+        self.notify_abort(tid, &merged);
         self.cond.notify_all();
         Ok(())
     }
@@ -732,13 +754,19 @@ impl TransactionManager {
                 p.finish(*t, false);
             }
         }
+        self.notify_abort(tid, &merged);
+    }
+
+    /// Sends `Abort` to the commit-tree children of every merged tid and
+    /// hands their acknowledgements to the phase-2 chaser.
+    fn notify_abort(&self, tid: Tid, merged: &[Tid]) {
         let transport = self.transport();
         let mut children: HashSet<NodeId> = HashSet::new();
-        for t in &merged {
+        for t in merged {
             children.extend(transport.children(*t));
         }
         if !children.is_empty() {
-            self.chase_acks_background(tid, children, CommitMsg::Abort { tid });
+            self.start_phase2(tid, children, CommitMsg::Abort { tid }, None);
         }
     }
 
@@ -774,7 +802,11 @@ impl TransactionManager {
     }
 
     /// Top-level commit: phase 1 over local participants and the commit
-    /// tree, then the forced commit record, then phase 2.
+    /// tree, then the forced commit record — the commit point. Local
+    /// participants finish and each yes-voter is sent `Commit` once
+    /// before this returns; collecting the acknowledgements is left to
+    /// the phase-2 chaser, so the caller never waits for a round that
+    /// cannot change the outcome.
     fn commit_top_level(&self, tid: Tid) -> Result<bool, TmError> {
         // Deadline gate: a prepare round launched past the budget cannot
         // finish in time, and worse, it pins every participant's locks
@@ -839,13 +871,36 @@ impl TransactionManager {
         // force below goes through the RM's batched commit path: with
         // group commit enabled, concurrent committers share one device
         // force.
+        // Claim the decision under the registry lock. An abort that got in
+        // first (suspicion callback, deadlock victim) has already undone
+        // the work and wins; one that comes later is refused.
+        {
+            let mut inner = self.inner.lock();
+            let info = inner.get_mut(&tid).ok_or(TmError::Unknown(tid))?;
+            if info.phase == TxPhase::Aborted {
+                drop(inner);
+                self.renotify_abort(tid);
+                return Ok(false);
+            }
+            info.deciding = true;
+        }
+        let log_commit = || {
+            self.rm.log_commit(tid).map_err(|e| {
+                // The decision did not reach the log: release the claim so
+                // a later abort can still clean up.
+                if let Some(info) = self.inner.lock().get_mut(&tid) {
+                    info.deciding = false;
+                }
+                TmError::Rm(e.to_string())
+            })
+        };
         if policy == CommitPathPolicy::Fast && updates && children.is_empty() {
             // Single-participant 1PC: this coordinator is the sole writer
             // (no commit-tree children registered), so a prepare phase
             // would protect nothing — the commit record alone is the
             // atomic event. One log force, zero 2PC datagrams.
             crash_point!(&self.crash, "tm.1pc.before-force");
-            self.rm.log_commit(tid).map_err(|e| TmError::Rm(e.to_string()))?;
+            log_commit()?;
             crash_point!(&self.crash, "tm.1pc.after-force");
             if let Some(c) = self.one_pc_commits.lock().as_ref() {
                 c.inc();
@@ -858,9 +913,12 @@ impl TransactionManager {
                 // proves unnecessary.
                 self.rm.log_prepare(tid, self.node).map_err(|e| TmError::Rm(e.to_string()))?;
             }
-            self.rm.log_commit(tid).map_err(|e| TmError::Rm(e.to_string()))?;
+            log_commit()?;
             crash_point!(&self.crash, "tm.commit.logged");
         }
+        // Outcome before phase: an `Inquire` that finds the phase already
+        // decided must also find the outcome, or it would presume abort.
+        self.outcomes.lock().insert(tid, true);
         {
             let mut inner = self.inner.lock();
             if let Some(info) = inner.get_mut(&tid) {
@@ -868,7 +926,6 @@ impl TransactionManager {
                 info.yes_children = remote_yes.clone();
             }
         }
-        self.outcomes.lock().insert(tid, true);
 
         // Phase 2: local finish + remote commit to yes-voters only.
         for p in participants.values() {
@@ -877,11 +934,7 @@ impl TransactionManager {
             }
         }
         if !remote_yes.is_empty() {
-            self.chase_acks_blocking(
-                tid,
-                remote_yes.into_iter().collect(),
-                CommitMsg::Commit { tid },
-            );
+            self.start_phase2(tid, remote_yes, CommitMsg::Commit { tid }, None);
         }
         self.deadlines.lock().remove(&tid);
         Ok(true)
@@ -1034,89 +1087,6 @@ impl TransactionManager {
         }
     }
 
-    /// Sends `msg` to `targets` and waits until each acknowledged,
-    /// retransmitting. Blocks the committing caller (the paper's measured
-    /// protocol; the "Improved TABS Architecture" projection moves this off
-    /// the critical path).
-    fn chase_acks_blocking(&self, tid: Tid, targets: HashSet<NodeId>, msg: CommitMsg) {
-        let transport = self.transport();
-        let timeouts = self.timeouts();
-        for &c in &targets {
-            self.send_traced(&transport, c, msg.clone());
-        }
-        let deadline = Instant::now() + timeouts.ack_deadline;
-        // Quorum-group members that died mid-commit are abandoned instead
-        // of chased to the ack deadline: their surviving replicas hold the
-        // data, and the dead member resolves the outcome from the durable
-        // decision record when it rejoins.
-        let abandon = self.replication().abandon_dead_acks;
-        let mut abandoned: HashSet<NodeId> = HashSet::new();
-        let mut inner = self.inner.lock();
-        loop {
-            let done = match inner.get(&tid) {
-                Some(info) => {
-                    targets.iter().all(|c| info.acks.contains(c) || abandoned.contains(c))
-                }
-                None => true,
-            };
-            if done || Instant::now() >= deadline {
-                return;
-            }
-            let timed_out =
-                self.cond.wait_until(&mut inner, Instant::now() + timeouts.retransmit).timed_out();
-            if timed_out {
-                let missing: Vec<NodeId> = match inner.get(&tid) {
-                    Some(info) => targets
-                        .iter()
-                        .copied()
-                        .filter(|c| !info.acks.contains(c) && !abandoned.contains(c))
-                        .collect(),
-                    None => Vec::new(),
-                };
-                let newly_abandoned =
-                    parking_lot::MutexGuard::unlocked(&mut inner, || -> Vec<NodeId> {
-                        let mut dead = Vec::new();
-                        for c in missing {
-                            if abandon && self.in_quorum_group(c) && transport.unreachable(c) {
-                                dead.push(c);
-                            } else {
-                                self.send_traced(&transport, c, msg.clone());
-                            }
-                        }
-                        dead
-                    });
-                for c in newly_abandoned {
-                    abandoned.insert(c);
-                    if let Some(counter) = self.acks_abandoned.lock().as_ref() {
-                        counter.inc();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Fire-and-retransmit without blocking the caller: the receiving
-    /// side is idempotent and acknowledgements are absorbed by `handle`.
-    fn chase_acks_background(&self, _tid: Tid, targets: HashSet<NodeId>, msg: CommitMsg) {
-        let transport = self.transport();
-        let trace = self.trace.lock().clone();
-        let timeouts = self.timeouts();
-        std::thread::spawn(move || {
-            let deadline = Instant::now() + timeouts.ack_deadline;
-            while Instant::now() < deadline {
-                for &c in &targets {
-                    if let Some(t) = trace.as_ref() {
-                        if let Some((tid, event)) = commit_msg_send_event(c, &msg) {
-                            t.record(tid, event);
-                        }
-                    }
-                    transport.send(c, msg.clone());
-                }
-                std::thread::sleep(timeouts.retransmit);
-            }
-        });
-    }
-
     /// Entry point for incoming two-phase-commit datagrams, called by the
     /// Communication Manager's datagram loop.
     pub fn handle(self: &Arc<Self>, from: NodeId, msg: CommitMsg) {
@@ -1140,11 +1110,7 @@ impl TransactionManager {
                 self.workers.execute(move || tm.handle_commit(from, tid));
             }
             CommitMsg::CommitAck { tid, from } | CommitMsg::AbortAck { tid, from } => {
-                let mut inner = self.inner.lock();
-                if let Some(info) = inner.get_mut(&tid) {
-                    info.acks.insert(from);
-                }
-                self.cond.notify_all();
+                self.settle_phase2(tid, from);
             }
             CommitMsg::Abort { tid } => {
                 let tm = Arc::clone(self);
@@ -1196,7 +1162,7 @@ impl TransactionManager {
                 let tm = Arc::clone(self);
                 self.workers.execute(move || {
                     if committed {
-                        tm.apply_commit_decision(tid);
+                        tm.apply_commit_decision(tid, None);
                     } else {
                         let merged = tm.inner.lock().get(&tid).map(|i| i.merged.clone());
                         if let Some(merged) = merged {
@@ -1381,24 +1347,29 @@ impl TransactionManager {
 
     /// Participant side of phase 2 (commit).
     fn handle_commit(self: Arc<Self>, from: NodeId, tid: Tid) {
-        let transport = self.transport();
         if !self.inner.lock().contains_key(&tid) {
             // Already resolved and forgotten: just re-ack.
-            self.send_traced(&transport, from, CommitMsg::CommitAck { tid, from: self.node });
+            let ack = CommitMsg::CommitAck { tid, from: self.node };
+            self.send_traced(&self.transport(), from, ack);
             return;
         }
-        if !self.apply_commit_decision(tid) {
-            return; // keep in doubt; coordinator will retransmit
-        }
-        self.send_traced(&transport, from, CommitMsg::CommitAck { tid, from: self.node });
+        self.apply_commit_decision(tid, Some(from));
+    }
+
+    /// Acknowledges an applied commit decision to the commit-tree parent.
+    fn ack_commit(&self, tid: Tid, parent: NodeId) {
+        self.send_traced(&self.transport(), parent, CommitMsg::CommitAck { tid, from: self.node });
         crash_point!(&self.crash, "tm.ack.sent");
     }
 
     /// Applies a known commit decision to a prepared transaction (from the
     /// coordinator's phase 2 or a peer's [`CommitMsg::OutcomeAnswer`]).
-    /// Idempotent; returns false only if the commit record could not be
-    /// logged (the transaction stays in doubt for a retransmission).
-    fn apply_commit_decision(self: &Arc<Self>, tid: Tid) -> bool {
+    /// Idempotent. `ack_to` names the parent that sent the decision: it
+    /// is acknowledged once this node's own subtree has acknowledged — at
+    /// once for a leaf, by the phase-2 chaser for an intermediate node —
+    /// and not at all if the commit record could not be logged (the
+    /// transaction stays in doubt for the coordinator's retransmission).
+    fn apply_commit_decision(self: &Arc<Self>, tid: Tid, ack_to: Option<NodeId>) {
         let (merged, participants, yes_children, phase) = {
             let inner = self.inner.lock();
             match inner.get(&tid) {
@@ -1408,21 +1379,21 @@ impl TransactionManager {
                     info.yes_children.clone(),
                     info.phase,
                 ),
-                None => return true,
+                None => return,
             }
         };
         if phase == TxPhase::Prepared {
             if self.rm.log_commit(tid).is_err() {
-                return false;
+                return;
             }
             crash_point!(&self.crash, "tm.commit.logged");
+            self.outcomes.lock().insert(tid, true);
             {
                 let mut inner = self.inner.lock();
                 if let Some(info) = inner.get_mut(&tid) {
                     info.phase = TxPhase::Committed;
                 }
             }
-            self.outcomes.lock().insert(tid, true);
             for p in participants.values() {
                 for t in &merged {
                     p.finish(*t, true);
@@ -1430,14 +1401,16 @@ impl TransactionManager {
             }
             self.cond.notify_all();
             if !yes_children.is_empty() {
-                self.chase_acks_blocking(
-                    tid,
-                    yes_children.into_iter().collect(),
-                    CommitMsg::Commit { tid },
-                );
+                self.start_phase2(tid, yes_children, CommitMsg::Commit { tid }, ack_to);
+                return;
             }
         }
-        true
+        // A retransmitted decision that finds the subtree still being
+        // chased is not acknowledged here: the chaser answers the parent
+        // when the subtree has, so acks always travel leaf-first.
+        if let Some(parent) = ack_to.filter(|_| !self.phase2_will_ack_parent(tid)) {
+            self.ack_commit(tid, parent);
+        }
     }
 
     /// Participant side of abort.
@@ -1866,39 +1839,51 @@ mod tests {
         /// window.
         #[allow(clippy::type_complexity)]
         on_unreachable: Mutex<Option<Box<dyn Fn(NodeId) + Send>>>,
+        /// Fired on every send with the destination and the datagram.
+        #[allow(clippy::type_complexity)]
+        on_send: Mutex<Option<Box<dyn Fn(NodeId, &CommitMsg) + Send>>>,
         me: NodeId,
     }
 
     impl Loopback {
+        /// Wires one transport per manager, every manager a peer of every
+        /// other; returned in the order given.
+        fn mesh(tms: &[&Arc<TransactionManager>]) -> Vec<Arc<Loopback>> {
+            tms.iter()
+                .map(|tm| {
+                    let t = Arc::new(Loopback {
+                        peers: Mutex::new(HashMap::new()),
+                        children_of: Mutex::new(HashMap::new()),
+                        sent: Mutex::new(Vec::new()),
+                        dead: Mutex::new(HashSet::new()),
+                        drop_decisions_to: Mutex::new(HashSet::new()),
+                        plain: Mutex::new(HashSet::new()),
+                        on_unreachable: Mutex::new(None),
+                        on_send: Mutex::new(None),
+                        me: tm.node(),
+                    });
+                    for peer in tms.iter().filter(|p| p.node() != tm.node()) {
+                        t.peers.lock().insert(peer.node(), Arc::clone(peer));
+                    }
+                    tm.set_transport(Arc::clone(&t) as Arc<dyn CommitTransport>);
+                    t
+                })
+                .collect()
+        }
+
         fn pair(
             a: &Arc<TransactionManager>,
             b: &Arc<TransactionManager>,
         ) -> (Arc<Loopback>, Arc<Loopback>) {
-            let ta = Arc::new(Loopback {
-                peers: Mutex::new(HashMap::new()),
-                children_of: Mutex::new(HashMap::new()),
-                sent: Mutex::new(Vec::new()),
-                dead: Mutex::new(HashSet::new()),
-                drop_decisions_to: Mutex::new(HashSet::new()),
-                plain: Mutex::new(HashSet::new()),
-                on_unreachable: Mutex::new(None),
-                me: a.node(),
-            });
-            let tb = Arc::new(Loopback {
-                peers: Mutex::new(HashMap::new()),
-                children_of: Mutex::new(HashMap::new()),
-                sent: Mutex::new(Vec::new()),
-                dead: Mutex::new(HashSet::new()),
-                drop_decisions_to: Mutex::new(HashSet::new()),
-                plain: Mutex::new(HashSet::new()),
-                on_unreachable: Mutex::new(None),
-                me: b.node(),
-            });
-            ta.peers.lock().insert(b.node(), Arc::clone(b));
-            tb.peers.lock().insert(a.node(), Arc::clone(a));
-            a.set_transport(Arc::clone(&ta) as Arc<dyn CommitTransport>);
-            b.set_transport(Arc::clone(&tb) as Arc<dyn CommitTransport>);
-            (ta, tb)
+            let mut mesh = Self::mesh(&[a, b]);
+            let tb = mesh.pop().expect("two transports");
+            (mesh.pop().expect("two transports"), tb)
+        }
+
+        /// How many datagrams matching `pred` this transport was asked to
+        /// send (delivered or dropped).
+        fn count_sent(&self, pred: impl Fn(&NodeId, &CommitMsg) -> bool) -> usize {
+            self.sent.lock().iter().filter(|(to, m)| pred(to, m)).count()
         }
 
         fn set_children(&self, children: Vec<NodeId>) {
@@ -1917,6 +1902,9 @@ mod tests {
     impl CommitTransport for Loopback {
         fn send(&self, to: NodeId, msg: CommitMsg) {
             self.sent.lock().push((to, msg.clone()));
+            if let Some(hook) = self.on_send.lock().as_ref() {
+                hook(to, &msg);
+            }
             if matches!(msg, CommitMsg::Commit { .. } | CommitMsg::Abort { .. })
                 && self.drop_decisions_to.lock().contains(&to)
             {
@@ -1979,6 +1967,7 @@ mod tests {
         tm1.enlist(t, "s1", part1.clone());
         tm2.enlist(t, "s2", part2.clone()); // remote work happened on node 2
         assert!(tm1.end(t).unwrap());
+        assert!(tm1.await_phase2(Duration::from_secs(5)), "node 2 never acknowledged");
 
         // Both logs carry durable records; node 2 prepared then committed.
         let recs2 = rm2.log().durable_entries();
@@ -2023,6 +2012,7 @@ mod tests {
         let t = tm1.begin(Tid::NULL).unwrap();
         tm2.enlist(t, "s2", part2);
         assert!(tm1.end(t).unwrap());
+        assert!(tm1.await_phase2(Duration::from_secs(5)), "node 2 never acknowledged");
         // The pessimistic baseline forces prepare + commit records on the
         // read-only participant and a commit record on the coordinator.
         let recs2 = rm2.log().durable_entries();
@@ -2034,13 +2024,6 @@ mod tests {
             .iter()
             .any(|e| matches!(e.record, tabs_wal::LogRecord::Commit { .. })));
         // Full four-message exchange: PrepareFull/VoteYes, Commit/CommitAck.
-        // Phase 2 runs on the worker pool, so poll for the ack.
-        for _ in 0..50 {
-            if t2.sent.lock().iter().any(|(_, m)| matches!(m, CommitMsg::CommitAck { .. })) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
         let sent1 = t1.sent.lock().clone();
         assert!(matches!(sent1[0].1, CommitMsg::PrepareFull { .. }));
         assert!(sent1.iter().any(|(_, m)| matches!(m, CommitMsg::Commit { .. })));
@@ -2113,6 +2096,7 @@ mod tests {
         let t = tm1.begin(Tid::NULL).unwrap();
         tm2.enlist(t, "s2", part2.clone());
         assert!(tm1.end(t).unwrap(), "minority death must not block the commit");
+        assert!(tm1.await_phase2(Duration::from_secs(5)), "node 2 never acknowledged");
         assert_eq!(tm2.phase(t), Some(TxPhase::Committed));
         assert_eq!(quorum.get(), 1);
         assert!(rm1
@@ -2195,7 +2179,7 @@ mod tests {
             !tm1.end(t).unwrap(),
             "a No vote racing the waiver's unlocked window must abort the commit"
         );
-        // The abort announcement reaches node 2 from a background chase.
+        // The abort reaches node 2 asynchronously (its worker pool).
         let deadline = Instant::now() + Duration::from_secs(2);
         while tm2.phase(t) != Some(TxPhase::Aborted) && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
@@ -2223,12 +2207,9 @@ mod tests {
         let t = tm1.begin(Tid::NULL).unwrap();
         tm2.enlist(t, "s2", part2.clone());
         assert!(!tm1.end(t).unwrap(), "no quorum group majority: presume failure and abort");
-        // The abort announcement is retransmitted from a background
-        // thread; give it a moment to land on node 2.
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while tm2.phase(t) != Some(TxPhase::Aborted) && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        // Node 2 applies the abort on its worker pool and acknowledges;
+        // dead node 3 is abandoned at the chaser's first tick.
+        assert!(tm1.await_phase2(Duration::from_secs(5)), "abort chase never drained");
         assert_eq!(tm2.phase(t), Some(TxPhase::Aborted));
         assert!(part2.log.lock().iter().any(|l| l.contains("finish") && l.contains("false")));
     }
@@ -2236,13 +2217,16 @@ mod tests {
     #[test]
     fn acks_from_members_that_died_mid_commit_are_abandoned() {
         // Node 2 votes yes, then dies before acknowledging the decision:
-        // the coordinator abandons the chase instead of spinning to the
-        // ack deadline (the rejoining member resolves from the record).
+        // the committer never waits for it, and the chaser abandons the
+        // member at its first tick instead of retransmitting to the ack
+        // deadline (the rejoining member resolves from the record).
         let (tm1, tm2, t1, _t2, _rm1, _rm2) = two_node_rig();
         tm1.set_replication(ReplicationPolicy::enabled());
         tm1.set_quorum_groups(vec![vec![NodeId(1), NodeId(2)]]);
         let abandoned = Counter::default();
         tm1.set_replication_metrics(Counter::default(), abandoned.clone());
+        let (retransmits, expired) = (Counter::default(), Counter::default());
+        tm1.set_phase2_metrics(retransmits.clone(), expired.clone(), Counter::default());
         tm1.set_timeouts(TmTimeouts {
             retransmit: Duration::from_millis(10),
             vote_deadline: Duration::from_secs(5),
@@ -2250,22 +2234,232 @@ mod tests {
         });
         t1.set_children(vec![NodeId(2)]);
         t1.drop_decisions_to.lock().insert(NodeId(2));
-        t1.mark_dead(NodeId(2));
         let part2 = Arc::new(TracePart::default());
         part2.has_updates.store(true, Ordering::Relaxed);
 
         let t = tm1.begin(Tid::NULL).unwrap();
         tm2.enlist(t, "s2", part2);
+        // The member dies once the decision is made (the first phase-2
+        // datagram is the one the transport loses).
+        let dying = Arc::clone(&t1);
+        *t1.on_send.lock() = Some(Box::new(move |to, m| {
+            if matches!(m, CommitMsg::Commit { .. }) {
+                dying.mark_dead(to);
+            }
+        }));
         let start = Instant::now();
         assert!(tm1.end(t).unwrap());
         assert!(
-            start.elapsed() < Duration::from_secs(2),
-            "abandonment must return well before the ack deadline"
+            start.elapsed() < Duration::from_millis(500),
+            "a dead member must not delay the committing caller"
+        );
+        assert!(
+            tm1.await_phase2(Duration::from_secs(2)),
+            "abandonment must empty the chaser well before the ack deadline"
         );
         assert_eq!(abandoned.get(), 1);
+        assert_eq!((retransmits.get(), expired.get()), (0, 0));
+        assert_eq!(t1.count_sent(|_, m| matches!(m, CommitMsg::Commit { .. })), 1);
         // The member never saw the decision: still prepared (in doubt),
         // to be resolved by recovery or cooperative termination.
         assert_eq!(tm2.phase(t), Some(TxPhase::Prepared));
+    }
+
+    #[test]
+    fn commit_returns_at_the_commit_point_not_at_the_acknowledgement() {
+        // The Commit datagram to node 2 is lost, so no CommitAck can come
+        // back. The caller holds its answer right after the commit force
+        // (the old blocking wait sat here until `ack_deadline`, 5 s);
+        // node 2 is still prepared with its locks held; once the wire
+        // heals, the chaser's retransmission delivers the decision and
+        // the acknowledgement empties the pending map.
+        let (tm1, tm2, t1, t2, rm1, _rm2) = two_node_rig();
+        let (retransmits, expired, pending) =
+            (Counter::default(), Counter::default(), Counter::default());
+        tm1.set_phase2_metrics(retransmits.clone(), expired.clone(), pending.clone());
+        tm1.set_timeouts(TmTimeouts {
+            retransmit: Duration::from_millis(10),
+            vote_deadline: Duration::from_secs(5),
+            ack_deadline: Duration::from_secs(5),
+        });
+        t1.set_children(vec![NodeId(2)]);
+        t1.drop_decisions_to.lock().insert(NodeId(2));
+        let part1 = Arc::new(TracePart::default());
+        part1.has_updates.store(true, Ordering::Relaxed);
+        let part2 = Arc::new(TracePart::default());
+        part2.has_updates.store(true, Ordering::Relaxed);
+
+        let t = tm1.begin(Tid::NULL).unwrap();
+        tm1.enlist(t, "s1", part1.clone());
+        tm2.enlist(t, "s2", part2.clone());
+        let start = Instant::now();
+        assert!(tm1.end(t).unwrap());
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "end() waited for an acknowledgement that cannot change the outcome"
+        );
+        // The commit point has passed: record durable, coordinator-side
+        // participant finished, exactly one Commit sent inline.
+        assert!(rm1
+            .log()
+            .durable_entries()
+            .iter()
+            .any(|e| matches!(e.record, tabs_wal::LogRecord::Commit { .. })));
+        assert!(part1.log.lock().iter().any(|l| l == &format!("finish {t} true")));
+        assert!(t1.count_sent(|_, m| matches!(m, CommitMsg::Commit { .. })) >= 1);
+        // The participant has not heard: prepared, locks held (no finish).
+        assert_eq!(tm2.phase(t), Some(TxPhase::Prepared));
+        assert!(!part2.log.lock().iter().any(|l| l.starts_with("finish")));
+        assert_eq!(pending.get(), 1);
+        assert!(!tm1.await_phase2(Duration::from_millis(50)), "nothing acknowledged yet");
+
+        t1.drop_decisions_to.lock().clear();
+        assert!(tm1.await_phase2(Duration::from_secs(5)), "retransmission never got through");
+        assert_eq!(tm2.phase(t), Some(TxPhase::Committed));
+        assert!(part2.log.lock().iter().any(|l| l == &format!("finish {t} true")));
+        assert_eq!(pending.get(), 0);
+        assert!(retransmits.get() >= 1, "the decision reached node 2 by retransmission");
+        assert_eq!(expired.get(), 0);
+        assert_eq!(t2.count_sent(|_, m| matches!(m, CommitMsg::CommitAck { .. })), 1);
+    }
+
+    #[test]
+    fn abort_racing_a_claimed_commit_decision_is_refused() {
+        // A suspicion callback (or deadlock-victim notice) snapshots the
+        // transaction while it is still collecting votes and calls abort
+        // after the coordinator has decided: the abort must lose, not
+        // undo a commit the client is being told about.
+        let (tm1, tm2, t1, _t2, _rm1, _rm2) = two_node_rig();
+        t1.set_children(vec![NodeId(2)]);
+        let part1 = Arc::new(TracePart::default());
+        part1.has_updates.store(true, Ordering::Relaxed);
+        let part2 = Arc::new(TracePart::default());
+        part2.has_updates.store(true, Ordering::Relaxed);
+        let t = tm1.begin(Tid::NULL).unwrap();
+        tm1.enlist(t, "s1", part1.clone());
+        tm2.enlist(t, "s2", part2.clone());
+        let late_abort = Arc::new(Mutex::new(None));
+        let (tm, seen) = (Arc::clone(&tm1), Arc::clone(&late_abort));
+        *t1.on_send.lock() = Some(Box::new(move |_, m| {
+            if matches!(m, CommitMsg::Commit { .. }) {
+                *seen.lock() = Some(tm.abort(t));
+            }
+        }));
+        assert!(tm1.end(t).unwrap());
+        assert!(matches!(*late_abort.lock(), Some(Err(TmError::Unknown(_)))));
+        assert!(tm1.await_phase2(Duration::from_secs(5)));
+        assert_eq!(tm1.phase(t), Some(TxPhase::Committed));
+        assert_eq!(tm2.phase(t), Some(TxPhase::Committed));
+        assert!(!tm1.is_aborted(t));
+        for part in [&part1, &part2] {
+            assert!(!part.log.lock().iter().any(|l| l.contains("finish") && l.contains("false")));
+        }
+        assert_eq!(t1.count_sent(|_, m| matches!(m, CommitMsg::Abort { .. })), 0);
+    }
+
+    #[test]
+    fn a_chase_that_is_never_acknowledged_expires_visibly() {
+        let (tm1, tm2, t1, _t2, _rm1, _rm2) = two_node_rig();
+        let (retransmits, expired, pending) =
+            (Counter::default(), Counter::default(), Counter::default());
+        tm1.set_phase2_metrics(retransmits.clone(), expired.clone(), pending.clone());
+        tm1.set_timeouts(TmTimeouts {
+            retransmit: Duration::from_millis(10),
+            vote_deadline: Duration::from_secs(5),
+            ack_deadline: Duration::from_millis(60),
+        });
+        t1.set_children(vec![NodeId(2)]);
+        t1.drop_decisions_to.lock().insert(NodeId(2));
+        let part2 = Arc::new(TracePart::default());
+        part2.has_updates.store(true, Ordering::Relaxed);
+        let t = tm1.begin(Tid::NULL).unwrap();
+        tm2.enlist(t, "s2", part2);
+        assert!(tm1.end(t).unwrap());
+        assert!(tm1.await_phase2(Duration::from_secs(5)), "the chase never gave up");
+        assert_eq!(expired.get(), 1);
+        assert!(retransmits.get() >= 1);
+        assert_eq!(pending.get(), 0);
+        // The outcome is still there for the in-doubt member to pull.
+        assert_eq!(tm2.phase(t), Some(TxPhase::Prepared));
+        assert!(tm1.outcomes.lock().get(&t) == Some(&true));
+    }
+
+    #[test]
+    fn intermediate_node_acknowledges_its_parent_after_its_subtree() {
+        // Chain 1 -> 2 -> 3. Node 3 never hears the decision, so node 2
+        // must withhold its CommitAck and node 1's chase stays pending;
+        // when node 3 finally acknowledges, the acks travel leaf-first.
+        let (tm1, _rm1, _p1) = make_tm(NodeId(1));
+        let (tm2, _rm2, _p2) = make_tm(NodeId(2));
+        let (tm3, _rm3, _p3) = make_tm(NodeId(3));
+        let mesh = Loopback::mesh(&[&tm1, &tm2, &tm3]);
+        let (t1, t2) = (&mesh[0], &mesh[1]);
+        t1.set_children(vec![NodeId(2)]);
+        t2.set_children(vec![NodeId(3)]);
+        t2.drop_decisions_to.lock().insert(NodeId(3));
+        for tm in [&tm1, &tm2] {
+            tm.set_timeouts(TmTimeouts {
+                retransmit: Duration::from_millis(10),
+                vote_deadline: Duration::from_secs(5),
+                ack_deadline: Duration::from_secs(5),
+            });
+        }
+        let part3 = Arc::new(TracePart::default());
+        part3.has_updates.store(true, Ordering::Relaxed);
+        let t = tm1.begin(Tid::NULL).unwrap();
+        tm2.enlist(t, "s2", Arc::new(TracePart::default()));
+        tm3.enlist(t, "s3", part3);
+
+        assert!(tm1.end(t).unwrap());
+        // Long enough for node 1 to retransmit Commit to node 2 several
+        // times: a repeated decision must not shake the ack loose early.
+        assert!(!tm1.await_phase2(Duration::from_millis(100)));
+        assert_eq!(tm2.phase(t), Some(TxPhase::Committed));
+        assert_eq!(tm3.phase(t), Some(TxPhase::Prepared));
+        assert_eq!(
+            t2.count_sent(|_, m| matches!(m, CommitMsg::CommitAck { .. })),
+            0,
+            "node 2 acknowledged before its subtree had"
+        );
+
+        t2.drop_decisions_to.lock().clear();
+        assert!(tm1.await_phase2(Duration::from_secs(5)));
+        assert!(tm2.await_phase2(Duration::ZERO), "node 1 drained before node 2");
+        assert_eq!(tm3.phase(t), Some(TxPhase::Committed));
+        // (At least: a Commit retransmitted as the chase completes may
+        // draw a second, harmless ack.)
+        assert!(
+            t2.count_sent(|to, m| *to == NodeId(1) && matches!(m, CommitMsg::CommitAck { .. }))
+                >= 1
+        );
+    }
+
+    #[test]
+    fn acknowledged_abort_is_sent_once_and_leaves_nothing_pending() {
+        // The old background chase re-sent Abort to every child every
+        // retransmit interval for the whole ack deadline without ever
+        // looking at the acknowledgements. The chaser stops at the ack.
+        let (tm1, tm2, t1, t2, _rm1, _rm2) = two_node_rig();
+        let (retransmits, pending) = (Counter::default(), Counter::default());
+        tm1.set_phase2_metrics(retransmits.clone(), Counter::default(), pending.clone());
+        tm1.set_timeouts(TmTimeouts {
+            retransmit: Duration::from_millis(5),
+            vote_deadline: Duration::from_secs(5),
+            ack_deadline: Duration::from_secs(5),
+        });
+        t1.set_children(vec![NodeId(2)]);
+        let part2 = Arc::new(TracePart::default());
+        part2.has_updates.store(true, Ordering::Relaxed);
+        let t = tm1.begin(Tid::NULL).unwrap();
+        tm2.enlist(t, "s2", part2);
+        tm1.abort(t).unwrap();
+        assert!(tm1.await_phase2(Duration::from_secs(5)), "the child never acknowledged");
+        assert_eq!(tm2.phase(t), Some(TxPhase::Aborted));
+        // Many retransmit intervals later there is still just the one.
+        std::thread::sleep(Duration::from_millis(60));
+        assert_eq!(t1.count_sent(|_, m| matches!(m, CommitMsg::Abort { .. })), 1);
+        assert_eq!(t2.count_sent(|_, m| matches!(m, CommitMsg::AbortAck { .. })), 1);
+        assert_eq!((retransmits.get(), pending.get()), (0, 0));
     }
 
     #[test]
@@ -2277,13 +2471,8 @@ mod tests {
         let t = tm1.begin(Tid::NULL).unwrap();
         tm2.enlist(t, "s2", part2.clone());
         tm1.abort(t).unwrap();
-        // Give the background abort chase a moment to land.
-        for _ in 0..50 {
-            if tm2.phase(t) == Some(TxPhase::Aborted) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        // Node 2 applies the abort on its worker pool, then acknowledges.
+        assert!(tm1.await_phase2(Duration::from_secs(5)), "node 2 never acknowledged");
         assert_eq!(tm2.phase(t), Some(TxPhase::Aborted));
         assert!(part2.log.lock().iter().any(|l| l.contains("finish") && l.contains("false")));
         assert!(rm2

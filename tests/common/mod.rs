@@ -9,6 +9,7 @@
 #![allow(unused_imports, dead_code)]
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use tabs_core::{Cluster, MetricsSnapshot};
 use tabs_kernel::{NodeId, PerfSnapshot, PrimitiveOp};
@@ -24,6 +25,12 @@ pub use tabs_servers::harness::{
 /// workload cost exactly N datagrams and M forces on node k" instead of
 /// eyeballing totals that include boot and seeding noise. Start the
 /// meter after setup, run the workload, then read [`AccountingMeter::delta`].
+///
+/// A distributed commit returns at the commit point, with the
+/// participants' commit forces and acknowledgements still in flight, so
+/// both edges of the window first wait for the cluster's phase-2 chasers
+/// to drain ([`Cluster::quiesce`]): setup traffic stays out of the
+/// window and every measured commit's full cost lands inside it.
 pub struct AccountingMeter {
     cluster: Arc<Cluster>,
     nodes: Vec<NodeId>,
@@ -56,9 +63,14 @@ impl NodeAccounting {
     }
 }
 
+fn quiesce(cluster: &Cluster) {
+    assert!(cluster.quiesce(Duration::from_secs(5)), "phase 2 never drained");
+}
+
 impl AccountingMeter {
     /// Starts a window over `nodes`, snapshotting their counters now.
     pub fn start(cluster: &Arc<Cluster>, nodes: &[NodeId]) -> Self {
+        quiesce(cluster);
         Self {
             cluster: Arc::clone(cluster),
             nodes: nodes.to_vec(),
@@ -71,6 +83,7 @@ impl AccountingMeter {
     /// node order given there. The window stays open: calling again
     /// returns fresh deltas against the same start point.
     pub fn delta(&self) -> Vec<NodeAccounting> {
+        quiesce(&self.cluster);
         self.nodes
             .iter()
             .enumerate()

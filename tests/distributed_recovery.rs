@@ -3,10 +3,16 @@
 //! These span the whole stack — kernel, WAL, recovery, 2PC, the
 //! Communication Manager's proxies and the server library.
 
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use tabs_core::{Cluster, NodeId, Tid};
+use tabs_codec::Decode;
+use tabs_core::{Cluster, NodeId, Tid, TmTimeouts};
+use tabs_net::{DatagramFate, DatagramPolicy};
+use tabs_proto::{CommitMsg, Datagram};
 use tabs_servers::IntArrayClient;
+use tabs_tm::TxPhase;
 
 mod common;
 use common::{boot_with_array, client_for};
@@ -60,6 +66,108 @@ fn rebooted_participant_learns_commit_outcome() {
     app2.end_transaction(t2).unwrap();
     n1.shutdown();
     n2.shutdown();
+}
+
+/// Loses every `Commit` decision datagram while armed; all other
+/// traffic (prepares, votes, inquiries, heartbeats) passes.
+struct LoseCommitDecisions(AtomicBool);
+
+impl DatagramPolicy for LoseCommitDecisions {
+    fn route(&self, _from: NodeId, _to: NodeId, body: &[u8]) -> DatagramFate {
+        let decision =
+            matches!(Datagram::decode_all(body), Ok(Datagram::Commit(CommitMsg::Commit { .. })));
+        if decision && self.0.load(Ordering::Relaxed) {
+            DatagramFate::Drop
+        } else {
+            DatagramFate::Deliver
+        }
+    }
+}
+
+#[test]
+fn acknowledged_commit_survives_losing_every_decision_and_the_coordinator() {
+    // The client holds `Committed` from the commit point on — before any
+    // participant has heard the decision. Here no participant ever does:
+    // every Commit datagram is lost, then the coordinator crashes, taking
+    // its pending phase-2 chase with it. The durable commit record plus
+    // the participant's Inquire must still land the transaction.
+    let snappy = TmTimeouts {
+        retransmit: Duration::from_millis(20),
+        vote_deadline: Duration::from_millis(200),
+        ack_deadline: Duration::from_secs(5),
+    };
+    let cluster = Cluster::new();
+    let lossy = Arc::new(LoseCommitDecisions(AtomicBool::new(true)));
+    cluster.network().set_datagram_policy(Arc::clone(&lossy) as Arc<dyn DatagramPolicy>);
+    let (n1, a1) = boot_with_array(&cluster, 1, "a");
+    let (n2, a2) = boot_with_array(&cluster, 2, "b");
+    n1.tm.set_timeouts(snappy);
+    n2.tm.set_timeouts(snappy);
+    let app = n1.app();
+    let local = IntArrayClient::new(app.clone(), a1.send_right());
+    let remote = client_for(&n1, "b");
+
+    let t = app.begin_transaction(Tid::NULL).unwrap();
+    local.set(t, 0, 10).unwrap();
+    remote.set(t, 0, 20).unwrap();
+    let asked = Instant::now();
+    assert!(app.end_transaction(t).unwrap().is_committed());
+    assert!(
+        asked.elapsed() < Duration::from_secs(1),
+        "the commit acknowledgement waited on phase 2 ({:?})",
+        asked.elapsed()
+    );
+    // The participant is in doubt, its locks held, and the coordinator's
+    // chaser keeps trying in vain.
+    assert!(!cluster.quiesce(Duration::from_millis(100)), "a lost decision was acknowledged?");
+    assert_eq!(n2.tm.phase(t), Some(TxPhase::Prepared));
+    assert!(a2.server().locks().locked_object_count() > 0);
+    assert!(cluster.metrics(NodeId(1)).counter("tm.phase2.retransmits").get() > 0);
+    assert_eq!(cluster.metrics(NodeId(1)).counter("tm.phase2.pending").get(), 1);
+
+    // The coordinator dies with the decision undelivered, and comes back
+    // on its disks; the wire stops losing datagrams.
+    drop((local, remote, a1));
+    n1.crash();
+    lossy.0.store(false, Ordering::Relaxed);
+    let (n1, a1) = boot_with_array(&cluster, 1, "a");
+    n1.tm.set_timeouts(snappy);
+
+    // The in-doubt participant pulls the outcome: commit.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while n2.tm.phase(t) != Some(TxPhase::Committed) {
+        assert!(Instant::now() < deadline, "in-doubt participant never resolved");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(n2.tm.in_doubt_tids().is_empty());
+    while a2.server().locks().locked_object_count() > 0 {
+        assert!(Instant::now() < deadline, "participant locks never drained");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let read = |node: &tabs_core::Node, name: &str| {
+        let app = node.app();
+        let client = client_for(node, name);
+        let t = app.begin_transaction(Tid::NULL).unwrap();
+        let v = client.get(t, 0).unwrap();
+        app.end_transaction(t).unwrap();
+        v
+    };
+    assert_eq!((read(&n1, "a"), read(&n2, "b")), (10, 20), "an acknowledged commit was lost");
+
+    // Re-recovery is idempotent: crash everything twice more.
+    drop((a1, a2));
+    n1.crash();
+    n2.crash();
+    for round in 0..2 {
+        let (n1, a1) = boot_with_array(&cluster, 1, "a");
+        let (n2, a2) = boot_with_array(&cluster, 2, "b");
+        assert_eq!((read(&n1, "a"), read(&n2, "b")), (10, 20), "re-recovery round {round}");
+        assert_eq!(a1.server().locks().locked_object_count(), 0);
+        assert_eq!(a2.server().locks().locked_object_count(), 0);
+        drop((a1, a2));
+        n1.crash();
+        n2.crash();
+    }
 }
 
 #[test]

@@ -50,6 +50,9 @@ fn two_node_write_traces_all_2pc_phases_in_causal_order() {
     local.set(tid, 3, 111).expect("local write");
     remote.set(tid, 4, 222).expect("remote write");
     assert!(app.end_transaction(tid).expect("end").is_committed());
+    // The caller holds Committed from the commit point on; the decision
+    // and its ack are traced once phase 2 has drained.
+    assert!(cluster.quiesce(Duration::from_secs(5)), "phase 2 never drained");
 
     let tl = cluster.timeline();
     let phases = [

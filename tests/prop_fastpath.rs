@@ -152,8 +152,10 @@ proptest! {
     ) {
         let r = rig(CommitPathPolicy::Fast);
         let app = r.n1.app();
-        let wal_before = r.n2.rm.log().all_entries().len();
+        // The meter's start waits out the rig's seeding commit, whose
+        // participant-side commit record is still landing on node 2.
         let meter = AccountingMeter::start(&r.cluster, &[NodeId(2)]);
+        let wal_before = r.n2.rm.log().all_entries().len();
         for &(a, b) in &audits {
             app.run(|t| {
                 r.remote.get(t, a)?;

@@ -16,6 +16,26 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> served ports + observability, 10x beside a CPU hog (bounded): first red fails"
+# A snapshot taken before phase 2 drained only went red with the cores
+# busy; the served-port tests assert who runs where, so they ride along.
+hogs=()
+for _ in $(seq "$(nproc)"); do
+    timeout 120 sh -c 'while :; do :; done' &
+    hogs+=($!)
+done
+trap 'kill "${hogs[@]}" 2>/dev/null || true' EXIT
+for run in $(seq 10); do
+    if ! out=$(cargo test -q -p tabs-kernel -p tabs-server-lib -p tabs-cm -p tabs-servers \
+        --lib --test observability 2>&1); then
+        echo "$out" >&2
+        echo "run $run of 10 under load failed" >&2
+        exit 1
+    fi
+done
+kill "${hogs[@]}" 2>/dev/null || true
+trap - EXIT
+
 echo "==> chaos sweep (bounded): cargo test -q -p tabs-chaos --test chaos_sweep"
 if ! cargo test -q -p tabs-chaos --test chaos_sweep; then
     echo "chaos sweep failed: the assertion output above carries a" >&2

@@ -98,9 +98,9 @@ pub struct CommManager {
     state: Mutex<CmState>,
     next_call: AtomicU64,
     rx_metrics: Mutex<Option<RxMetrics>>,
-    /// Coroutine cache for inbound remote-call relays: each relay blocks
-    /// on the local server's reply, so it runs off the session loop, but
-    /// on a reused parked worker rather than a freshly spawned thread.
+    /// Inbound remote-call relays: the relay's send *runs* the local
+    /// server's operation, lock waits included, so it must stay off the
+    /// session loop — on a reused parked worker, not a fresh thread.
     workers: Arc<tabs_kernel::WorkerPool>,
 }
 
@@ -213,29 +213,17 @@ impl CommManager {
         if port.node == self.kernel.node() {
             return self.kernel.make_send_right(port, PortClass::DataServer);
         }
-        {
-            let state = self.state.lock();
-            if let Some(p) = state.proxies.get(&port) {
-                return Some(p.clone());
-            }
+        if let Some(p) = self.state.lock().proxies.get(&port) {
+            return Some(p.clone());
         }
-        let proxy = self.spawn_proxy(port);
+        // The interposed local port is a served port: the caller's own
+        // thread forwards the request (which never waits for the answer)
+        // and then waits on its reply port.
+        let (proxy, rx) = self.kernel.allocate_port(PortClass::RemoteDataServer);
+        let cm = Arc::clone(self);
+        rx.serve(move |msg| cm.forward_call(port, msg));
         self.state.lock().proxies.insert(port, proxy.clone());
         Some(proxy)
-    }
-
-    /// Creates the interposed local port for a remote data server and the
-    /// relay process behind it.
-    fn spawn_proxy(self: &Arc<Self>, remote: PortId) -> SendRight {
-        let (tx, rx) = self.kernel.allocate_port(PortClass::RemoteDataServer);
-        let cm = Arc::clone(self);
-        self.kernel.spawn(&format!("proxy-{remote}"), move || loop {
-            match rx.recv() {
-                Ok(msg) => cm.forward_call(remote, msg),
-                Err(_) => return,
-            }
-        });
-        tx
     }
 
     /// Sends one proxied request over the session to the remote node.
@@ -803,21 +791,15 @@ mod tests {
         ObjectId::new(SegmentId { node: NodeId(node), index: 0 }, 0, 8)
     }
 
-    /// Starts a trivial echo data server on `rig` and registers it.
+    /// Serves a trivial echo data server on `rig` and registers it.
     fn start_echo_server(rig: &NodeRig, name: &str) -> PortId {
         let (tx, rx) = rig.kernel.allocate_port(PortClass::DataServer);
         let port_id = tx.id();
-        rig.kernel.spawn("echo-server", move || loop {
-            match rx.recv() {
-                Ok(m) => {
-                    let req = Request::decode_all(&m.body).unwrap();
-                    let mut out = req.args.clone();
-                    out.reverse();
-                    if let Some(r) = m.reply {
-                        let _ = r.send_unmetered(tabs_proto::rpc::response_message(Ok(out)));
-                    }
-                }
-                Err(_) => return,
+        rx.serve(|m| {
+            let mut out = Request::decode_all(&m.body).unwrap().args;
+            out.reverse();
+            if let Some(r) = m.reply {
+                let _ = r.send_unmetered(tabs_proto::rpc::response_message(Ok(out)));
             }
         });
         rig.ns.register(name, "echo", port_id, oid(rig.kernel.node().0));
@@ -951,6 +933,79 @@ mod tests {
             other => panic!("expected server error, got {other:?}"),
         }
         shutdown(a);
+    }
+
+    #[test]
+    fn remote_node_killed_mid_call_yields_typed_unavailable() {
+        // The server on node 2 holds the first call until told to go on;
+        // node 2 dies under it. The caller forwarded the request on its
+        // own thread and is parked on its reply port: it must get the
+        // budget's typed error, and the next call — which finds the
+        // session gone — the retryable `Unavailable`.
+        let net = Network::new();
+        let a = boot(&net, 1);
+        let b = boot(&net, 2);
+        let (tx, rx) = b.kernel.allocate_port(PortClass::DataServer);
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let entered_tx = Mutex::new(entered_tx);
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        rx.serve(move |_m| {
+            entered_tx.lock().send(()).unwrap();
+            let _ = release_rx.lock().recv_timeout(Duration::from_secs(5));
+        });
+        let right = a.cm.resolve_port(tx.id()).unwrap();
+        let (k, r) = (a.kernel.clone(), right.clone());
+        let caller = std::thread::spawn(move || {
+            let d = Deadline::after(Duration::from_millis(300));
+            tabs_proto::rpc::call_with_deadline(&k, &r, Tid::NULL, 1, vec![1], d)
+        });
+        entered_rx.recv_timeout(Duration::from_secs(5)).expect("call reached node 2");
+        net.detach(NodeId(2));
+        b.kernel.shutdown();
+        drop(release_tx);
+        b.kernel.join_all();
+        let err = caller.join().unwrap().unwrap_err();
+        assert_eq!(err, tabs_proto::RpcError::Server(ServerError::DeadlineExceeded));
+        let err = tabs_proto::call(&a.kernel, &right, Tid::NULL, 1, vec![1]).unwrap_err();
+        assert_eq!(err, tabs_proto::RpcError::Server(ServerError::Unavailable(NodeId(2))));
+        shutdown(a);
+    }
+
+    #[test]
+    fn served_ports_leave_the_call_accounting_where_it_was() {
+        // One local and one remote call through served ports, priced in
+        // the paper's primitives exactly as the queued ports priced them.
+        let net = Network::new();
+        let a = boot(&net, 1);
+        let b = boot(&net, 2);
+        let local = a.cm.resolve_port(start_echo_server(&a, "here")).unwrap();
+        let remote = a.cm.resolve_port(start_echo_server(&b, "there")).unwrap();
+        let tid = a.tm.begin(Tid::NULL).unwrap();
+        let before = (a.kernel.perf().snapshot(), b.kernel.perf().snapshot());
+
+        tabs_proto::call(&a.kernel, &local, tid, 1, vec![1]).unwrap();
+        let d = a.kernel.perf().snapshot().since(&before.0);
+        assert_eq!(d.get(PrimitiveOp::DataServerCall), 1);
+        assert_eq!(d.get(PrimitiveOp::InterNodeDataServerCall), 0);
+        assert_eq!(d.get(PrimitiveOp::SmallContiguousMessage), 0);
+
+        tabs_proto::call(&a.kernel, &remote, tid, 1, vec![2]).unwrap();
+        let d = a.kernel.perf().snapshot().since(&before.0);
+        assert_eq!(d.get(PrimitiveOp::DataServerCall), 1);
+        assert_eq!(d.get(PrimitiveOp::InterNodeDataServerCall), 1);
+        // The Communication Manager telling the Transaction Manager about
+        // the new child (§3.2.3).
+        assert_eq!(d.get(PrimitiveOp::SmallContiguousMessage), 1);
+        // Node 2: parent notice + relay delivery + relay reply; the reply
+        // was complete before the relay sent its frame.
+        let d = b.kernel.perf().snapshot().since(&before.1);
+        assert_eq!(d.get(PrimitiveOp::SmallContiguousMessage), 3);
+        assert_eq!(d.get(PrimitiveOp::DataServerCall), 0);
+        assert_eq!(d.get(PrimitiveOp::InterNodeDataServerCall), 0);
+        let _ = a.tm.abort(tid);
+        shutdown(a);
+        shutdown(b);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! This crate reproduces that substrate in-process:
 //!
 //! - [`port`] — ports with single-receiver / many-sender rights, typed
-//!   messages that can carry further send rights, and message-class
-//!   accounting (small / large / pointer) matching the paper's §5 taxonomy.
+//!   messages that can carry further send rights, message-class
+//!   accounting (small / large / pointer) matching the paper's §5
+//!   taxonomy, and *served* ports whose handler runs on the sender's thread.
 //! - [`process`] — "Accent processes" as named OS threads owned by a node's
 //!   kernel instance, with cooperative shutdown used to simulate crashes.
 //! - [`storage`] — 512-byte-sector disks with per-sector header space (the
@@ -22,8 +23,8 @@
 //!   paging-control primitives used by the server library.
 //! - [`perfctr`] — counters for the nine primitive operations of Table 5-1,
 //!   from which the performance-evaluation harness derives Tables 5-2…5-4.
-//! - [`workers`] — a cache of reusable coroutine threads shared by the hot
-//!   message paths (server request dispatch, inbound 2PC datagrams).
+//! - [`workers`] — a cache of reusable threads for message handlers that
+//!   may block (inbound 2PC datagrams, Communication Manager relays).
 
 pub mod crash;
 pub mod ids;

@@ -5,6 +5,12 @@
 //! in messages along with ordinary data. Each node runs one [`Kernel`]
 //! instance; sends are counted against the node's primitive-operation
 //! counters according to the message class.
+//!
+//! A *queued* port holds messages until the holder of the receive right
+//! asks for them. A *served* port ([`ReceiveRight::serve`]) has handed its
+//! receive right to the kernel with a handler: a send to it *is* the
+//! handler's invocation, on the sender's thread (§5.3: no message passing
+//! between co-located components). Accounting does not tell them apart.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -73,14 +79,24 @@ impl std::fmt::Display for RecvError {
 
 impl std::error::Error for RecvError {}
 
+type Handler = Arc<dyn Fn(Message) + Send + Sync>;
+
+/// How a port in the node's table takes delivery.
+enum Port {
+    Queued(Sender<Message>),
+    Served(Handler),
+}
+
 pub(crate) struct KernelInner {
     node: NodeId,
     next_port: AtomicU64,
-    ports: Mutex<HashMap<u64, Sender<Message>>>,
+    /// Every port a right can be minted for from its [`PortId`]. Reply
+    /// ports are not here: their rights carry the queue.
+    ports: Mutex<HashMap<u64, Port>>,
     perf: Arc<PerfCounters>,
     trace: Mutex<Option<Arc<dyn crate::trace::TraceSink>>>,
     alive: AtomicBool,
-    /// Receivers clone this; dropping the paired sender wakes them all.
+    /// Receivers select on this; dropping the paired sender wakes them all.
     shutdown_rx: Receiver<()>,
     shutdown_tx: Mutex<Option<Sender<()>>>,
     pub(crate) processes: Mutex<Vec<(String, std::thread::JoinHandle<()>)>>,
@@ -162,15 +178,17 @@ impl Kernel {
         let index = self.inner.next_port.fetch_add(1, Ordering::Relaxed);
         let id = PortId { node: self.inner.node, index };
         let (tx, rx) = channel::unbounded();
-        self.inner.ports.lock().insert(index, tx);
-        let send = SendRight { id, class, kernel: Arc::clone(&self.inner) };
-        let recv = ReceiveRight {
-            id,
-            rx,
-            shutdown: self.inner.shutdown_rx.clone(),
-            kernel: Arc::clone(&self.inner),
+        // A reply right only ever travels inside a message, never minted
+        // from its id: it carries its queue and stays off the node-wide table.
+        let queue = if class == PortClass::Reply {
+            Some(tx)
+        } else {
+            self.inner.ports.lock().insert(index, Port::Queued(tx));
+            None
         };
-        (send, recv)
+        let recv =
+            ReceiveRight { id, rx, kernel: Arc::clone(&self.inner), in_table: queue.is_none() };
+        (SendRight { id, class, kernel: Arc::clone(&self.inner), queue }, recv)
     }
 
     /// Mints a send right for an existing local port (the Name Server
@@ -182,7 +200,7 @@ impl Kernel {
         }
         let ports = self.inner.ports.lock();
         if ports.contains_key(&port.index) {
-            Some(SendRight { id: port, class, kernel: Arc::clone(&self.inner) })
+            Some(SendRight { id: port, class, kernel: Arc::clone(&self.inner), queue: None })
         } else {
             None
         }
@@ -196,7 +214,8 @@ impl Kernel {
         // Dropping the sender closes the shutdown channel, waking every
         // receiver blocked in `select`.
         self.inner.shutdown_tx.lock().take();
-        self.inner.ports.lock().clear();
+        // Dropped after the lock: a handler may own what owns a port.
+        let _table = std::mem::take(&mut *self.inner.ports.lock());
     }
 
     /// Waits for every process spawned on this kernel to exit. Call after
@@ -227,6 +246,8 @@ pub struct SendRight {
     id: PortId,
     class: PortClass,
     kernel: Arc<KernelInner>,
+    /// The queue itself, for a port that is not in the node's table.
+    queue: Option<Sender<Message>>,
 }
 
 impl std::fmt::Debug for SendRight {
@@ -264,18 +285,24 @@ impl SendRight {
     /// Sends without touching the counters. Used by the RPC layer, which
     /// accounts a whole call as one Data-Server-Call primitive instead of
     /// counting its constituent messages.
+    /// To a served port this runs the handler before returning.
     pub fn send_unmetered(&self, msg: Message) -> Result<(), SendError> {
         if !self.kernel.alive.load(Ordering::Acquire) {
             return Err(SendError::NodeDown);
         }
-        let tx = {
-            let ports = self.kernel.ports.lock();
-            match ports.get(&self.id.index) {
-                Some(tx) => tx.clone(),
-                None => return Err(SendError::DeadPort),
-            }
+        if let Some(queue) = &self.queue {
+            return queue.send(msg).map_err(|_| SendError::DeadPort);
+        }
+        let handler = match self.kernel.ports.lock().get(&self.id.index) {
+            // Enqueued under the table lock, so `serve` can tell that no
+            // send is still on its way into the queue.
+            Some(Port::Queued(tx)) => return tx.send(msg).map_err(|_| SendError::DeadPort),
+            Some(Port::Served(handler)) => Arc::clone(handler),
+            None => return Err(SendError::DeadPort),
         };
-        tx.send(msg).map_err(|_| SendError::DeadPort)
+        // The table lock is released: a handler may send to any port.
+        handler(msg);
+        Ok(())
     }
 }
 
@@ -286,8 +313,9 @@ impl SendRight {
 pub struct ReceiveRight {
     id: PortId,
     rx: Receiver<Message>,
-    shutdown: Receiver<()>,
     kernel: Arc<KernelInner>,
+    /// Whether dropping this right must remove the port's table entry.
+    in_table: bool,
 }
 
 impl std::fmt::Debug for ReceiveRight {
@@ -302,16 +330,35 @@ impl ReceiveRight {
         self.id
     }
 
-    /// Creates an additional send right to this port.
-    pub fn make_send_right(&self, class: PortClass) -> SendRight {
-        SendRight { id: self.id, class, kernel: Arc::clone(&self.kernel) }
+    /// Hands the receive right to the kernel: from now on every send to
+    /// this port runs `handler` on the sender's thread (concurrent senders
+    /// run it concurrently; a panic unwinds into the sender) and returns
+    /// when it does. Messages already queued go through it first, in
+    /// order. The port lives until [`Kernel::shutdown`]; handlers running
+    /// then finish on their callers' threads.
+    pub fn serve(mut self, handler: impl Fn(Message) + Send + Sync + 'static) {
+        let handler: Handler = Arc::new(handler);
+        loop {
+            while let Some(msg) = self.try_recv() {
+                handler(msg);
+            }
+            let mut ports = self.kernel.ports.lock();
+            // Sends enqueue under this lock: an empty queue stays empty.
+            if self.rx.is_empty() {
+                if let Some(port) = ports.get_mut(&self.id.index) {
+                    *port = Port::Served(handler);
+                }
+                self.in_table = false; // the entry outlives this right
+                return;
+            }
+        }
     }
 
     /// Blocks until a message arrives or the kernel shuts down.
     pub fn recv(&self) -> Result<Message, RecvError> {
         crossbeam::channel::select! {
             recv(self.rx) -> m => m.map_err(|_| RecvError::ShutDown),
-            recv(self.shutdown) -> _ => {
+            recv(self.kernel.shutdown_rx) -> _ => {
                 // The shutdown channel only ever errors (sender dropped);
                 // drain any message raced in ahead of the shutdown.
                 match self.rx.try_recv() {
@@ -326,7 +373,7 @@ impl ReceiveRight {
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Message, RecvError> {
         crossbeam::channel::select! {
             recv(self.rx) -> m => m.map_err(|_| RecvError::ShutDown),
-            recv(self.shutdown) -> _ => {
+            recv(self.kernel.shutdown_rx) -> _ => {
                 match self.rx.try_recv() {
                     Ok(m) => Ok(m),
                     Err(_) => Err(RecvError::ShutDown),
@@ -344,7 +391,9 @@ impl ReceiveRight {
 
 impl Drop for ReceiveRight {
     fn drop(&mut self) {
-        self.kernel.ports.lock().remove(&self.id.index);
+        if self.in_table {
+            self.kernel.ports.lock().remove(&self.id.index);
+        }
     }
 }
 
@@ -454,5 +503,99 @@ mod tests {
         // A message already queued before shutdown should be drained.
         assert!(rx.recv().is_ok());
         assert!(matches!(rx.recv(), Err(RecvError::ShutDown)));
+    }
+
+    #[test]
+    fn served_handler_runs_on_the_sending_thread() {
+        let k = Kernel::new(NodeId(1));
+        let (tx, rx) = k.allocate_port(PortClass::DataServer);
+        let id = tx.id();
+        let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+        let seen_tx = Mutex::new(seen_tx);
+        rx.serve(move |m| {
+            seen_tx.lock().send((std::thread::current().id(), m.op)).unwrap();
+        });
+        tx.send_unmetered(Message::new(1, vec![])).unwrap();
+        // The handler has already run when the send returns.
+        assert_eq!(seen_rx.try_recv().unwrap(), (std::thread::current().id(), 1));
+        // A right minted from the port identifier reaches it too, from
+        // whichever thread holds it.
+        let minted = k.make_send_right(id, PortClass::DataServer).expect("served port is live");
+        let sender = std::thread::spawn(move || {
+            minted.send(Message::new(2, vec![])).unwrap();
+            std::thread::current().id()
+        });
+        let sender = sender.join().unwrap();
+        assert_eq!(seen_rx.try_recv().unwrap(), (sender, 2));
+        // Metered sends are still counted.
+        assert_eq!(k.perf().get(PrimitiveOp::SmallContiguousMessage), 1);
+    }
+
+    #[test]
+    fn serve_delivers_the_backlog_first_and_in_order() {
+        let k = Kernel::new(NodeId(1));
+        let (tx, rx) = k.allocate_port(PortClass::System);
+        for op in 1..=3 {
+            tx.send(Message::new(op, vec![])).unwrap();
+        }
+        let ops = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&ops);
+        rx.serve(move |m| seen.lock().push(m.op));
+        assert_eq!(*ops.lock(), vec![1, 2, 3], "backlog handled before serve returns");
+        tx.send(Message::new(4, vec![])).unwrap();
+        assert_eq!(*ops.lock(), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn served_port_dies_with_the_kernel() {
+        let k = Kernel::new(NodeId(1));
+        let (tx, rx) = k.allocate_port(PortClass::DataServer);
+        let id = tx.id();
+        rx.serve(|_| panic!("no send may reach the handler after shutdown"));
+        k.shutdown();
+        assert_eq!(tx.send(Message::new(1, vec![])), Err(SendError::NodeDown));
+        assert!(k.make_send_right(id, PortClass::DataServer).is_none());
+    }
+
+    #[test]
+    fn served_handler_may_send_to_other_ports() {
+        // No table lock is held while a handler runs: it can reply, send
+        // to a queued port, and call into another served port.
+        let k = Kernel::new(NodeId(1));
+        let (inner_tx, inner_rx) = k.allocate_port(PortClass::DataServer);
+        inner_rx.serve(|m| {
+            let reply = m.reply.expect("reply port");
+            reply.send(Message::new(m.op + 1, m.body)).unwrap();
+        });
+        let (log_tx, log_rx) = k.allocate_port(PortClass::System);
+        let (outer_tx, outer_rx) = k.allocate_port(PortClass::DataServer);
+        outer_rx.serve(move |m| {
+            log_tx.send(Message::new(m.op, vec![])).unwrap();
+            inner_tx.send(m).unwrap();
+        });
+        let (rtx, rrx) = k.allocate_port(PortClass::Reply);
+        outer_tx.send(Message::new(5, vec![7]).with_reply(rtx)).unwrap();
+        // Both were there before the outer send returned.
+        assert_eq!(log_rx.try_recv().unwrap().op, 5);
+        let r = rrx.try_recv().expect("reply already queued");
+        assert_eq!((r.op, r.body), (6, vec![7]));
+    }
+
+    #[test]
+    fn reply_rights_carry_their_queue() {
+        let k = Kernel::new(NodeId(1));
+        let (rtx, rrx) = k.allocate_port(PortClass::Reply);
+        // Not in the node's table: nothing can be minted from the id...
+        assert!(k.make_send_right(rtx.id(), PortClass::Reply).is_none());
+        // ...the right itself (and its clones) is the way in.
+        rtx.clone().send(Message::new(1, vec![])).unwrap();
+        assert_eq!(rrx.recv().unwrap().op, 1);
+        // Dead once the receive right is gone, down once the node is.
+        let (dead_tx, dead_rx) = k.allocate_port(PortClass::Reply);
+        drop(dead_rx);
+        assert_eq!(dead_tx.send(Message::new(1, vec![])), Err(SendError::DeadPort));
+        k.shutdown();
+        assert_eq!(rtx.send(Message::new(2, vec![])), Err(SendError::NodeDown));
+        assert!(matches!(rrx.recv(), Err(RecvError::ShutDown)));
     }
 }

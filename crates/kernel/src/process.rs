@@ -3,19 +3,11 @@
 //! §2.1.1: "Servers that never wait while processing an operation can be
 //! organized as a loop that receives a request message, dispatches to
 //! execute the operation, and sends a response message." System processes
-//! (TM, RM, CM, NS) all follow this shape; the server library layers the
-//! coroutine mechanism on top for data servers that *do* wait.
+//! (TM, RM, CM, NS) all follow this shape; data servers, which *do* wait,
+//! serve their port instead ([`crate::port::ReceiveRight::serve`]).
 
 use crate::msg::Message;
 use crate::port::{Kernel, PortClass, ReceiveRight, RecvError, SendRight};
-
-/// Outcome of handling one request in a [`spawn_server`] loop.
-pub enum Served {
-    /// Continue serving.
-    Continue,
-    /// Exit the loop (used for orderly process termination in tests).
-    Stop,
-}
 
 /// Runs a standard request loop on `port` inside a spawned process.
 ///

@@ -1,19 +1,20 @@
-//! A cache of reusable coroutine threads for the hot message paths.
+//! A cache of reusable threads for message handlers that may block.
 //!
-//! The server library models each in-flight request as a coroutine whose
-//! stack is an OS thread (§3.1.1). Spawning a fresh thread per request
-//! costs tens of microseconds of kernel time — a fixed tax that dominates
-//! short data-server calls under sustained load. [`WorkerPool`] keeps
-//! finished threads parked for reuse instead.
+//! A handler that can wait — a two-phase-commit datagram forcing the log,
+//! a Communication Manager relay running a local server's operation —
+//! must not run on the loop that received the message, and a fresh thread
+//! per message costs tens of microseconds; [`WorkerPool`] keeps finished
+//! threads parked for reuse. (Data servers need no pool: their request
+//! port is served on the caller's thread, see [`crate::port`].)
 //!
 //! The pool never queues a job behind a busy worker: a dispatch first
 //! claims an *idle token* (a count of workers that have finished their
 //! previous job and are committed to receiving the next one) and only
 //! then enqueues; without a token it spawns a fresh thread. A worker that
 //! is blocked inside a lock wait therefore can never delay the very
-//! request whose commit would release that lock — the liveness property
-//! the old thread-per-request scheme provided, at a fraction of the cost
-//! once the pool is warm.
+//! message whose handling would release that lock — the liveness property
+//! a thread per message provides, at a fraction of the cost once the pool
+//! is warm.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

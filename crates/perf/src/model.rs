@@ -16,7 +16,11 @@
 //!   phase 2 from a background chaser (DESIGN.md §15), so the *measured*
 //!   elapsed of the multi-node write rows has lost that round too. The
 //!   counts this module prices are Table 5-3's cluster-wide totals, which
-//!   did not change; only the longest path did.
+//!   did not change; only the longest path did. The local-hop half is
+//!   implemented as well, for the data-server call: the server's request
+//!   port is served on the caller's thread (DESIGN.md §16), so a Data
+//!   Server Call still *counts* as one — this module's inputs are
+//!   unchanged — but costs this substrate no process switch.
 //! - **New Primitive Times**: the improved-architecture counts re-priced
 //!   with the Table 5-5 achievable primitive times.
 

@@ -22,15 +22,18 @@
 //! coroutine mechanism embedded within every data server. The server
 //! library treats each incoming request as a separate coroutine
 //! invocation. A coroutine switch is performed only when an operation
-//! waits, e.g., for a lock or for starting a transaction." Here each
-//! request runs on its own thread but *serialized by the server monitor*;
-//! the monitor is released exactly at the paper's wait points, so data
-//! servers enjoy the same monitor semantics the weak queue server relies
-//! on for its unlocked tail pointer (§4.2).
+//! waits, e.g., for a lock or for starting a transaction." Here the
+//! server's request port is a *served port*: each request runs on the
+//! thread of whoever sent it — that thread is the coroutine's stack — but
+//! *serialized by the server monitor*; the monitor is released exactly at
+//! the paper's wait points, so data servers enjoy the same monitor
+//! semantics the weak queue server relies on for its unlocked tail pointer
+//! (§4.2). A request therefore never queues behind one parked in a lock
+//! wait: every caller brought its own stack.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -209,7 +212,6 @@ struct TxCtx {
 
 struct ServerInner {
     name: String,
-    kernel: Kernel,
     rm: Arc<RecoveryManager>,
     tm: Arc<TransactionManager>,
     locks: Arc<LockManager<StdMode>>,
@@ -224,7 +226,6 @@ struct ServerInner {
     monitor: Mutex<()>,
     tx: Mutex<HashMap<Tid, TxCtx>>,
     ops: Mutex<HashMap<String, (OpRedo, OpUndo)>>,
-    accepting: AtomicBool,
 }
 
 /// One data server built on the server library.
@@ -261,7 +262,6 @@ impl DataServer {
         let (send, rx) = deps.kernel.allocate_port(PortClass::DataServer);
         let inner = Arc::new(ServerInner {
             name: config.name,
-            kernel: deps.kernel.clone(),
             rm: Arc::clone(&deps.rm),
             tm: Arc::clone(&deps.tm),
             locks: LockManager::shared_with_stripes(config.deadlock_policy, config.lock_stripes),
@@ -275,7 +275,6 @@ impl DataServer {
             monitor: Mutex::new(()),
             tx: Mutex::new(HashMap::new()),
             ops: Mutex::new(HashMap::new()),
-            accepting: AtomicBool::new(false),
         });
         if let Some(trace) = &deps.trace {
             inner.locks.set_trace(Arc::clone(trace));
@@ -331,135 +330,101 @@ impl DataServer {
         self.inner.ops.lock().insert(name.to_string(), (Box::new(redo), Box::new(undo)));
     }
 
-    /// `AcceptRequests`: starts the request loop. Each incoming request
-    /// becomes a coroutine invocation serialized by the server monitor.
+    /// `AcceptRequests`: serves the request port. From here on a request
+    /// sent to it is a coroutine invocation on the sender's thread,
+    /// serialized by the server monitor.
     pub fn accept_requests(&self, dispatch: Dispatch) {
         let rx = self.rx.lock().take().expect("accept_requests called twice");
         let inner = Arc::clone(&self.inner);
-        inner.accepting.store(true, Ordering::Release);
         let participant: Arc<dyn Participant> =
             Arc::new(ServerParticipant { inner: Arc::clone(&self.inner) });
-        // A coroutine per request (§3.1.1): the OS thread is the stack and
-        // the monitor provides coroutine semantics. Threads come from a
-        // cache so sustained load does not pay a spawn per call; the pool
-        // spawns rather than queues when no worker is parked, so a request
-        // can never stall behind a coroutine blocked in a lock wait.
-        let workers = tabs_kernel::WorkerPool::new(&format!("ds-{}", self.inner.name));
-        self.inner.kernel.spawn(&format!("ds-{}", self.inner.name), move || loop {
-            match rx.recv() {
-                Ok(msg) => {
-                    let inner = Arc::clone(&inner);
-                    let dispatch = Arc::clone(&dispatch);
-                    let participant = Arc::clone(&participant);
-                    workers.execute(move || {
-                        ServerInner::serve_one(inner, dispatch, participant, msg);
-                    });
-                }
-                Err(_) => return,
-            }
-        });
+        rx.serve(move |msg| ServerInner::serve_one(&inner, &dispatch, &participant, msg));
     }
 }
 
 impl ServerInner {
+    /// One request, on its sender's thread: the gates, the operation, the
+    /// reply (already queued when the sender's `send` returns).
     fn serve_one(
-        inner: Arc<ServerInner>,
-        dispatch: Dispatch,
-        participant: Arc<dyn Participant>,
+        inner: &Arc<ServerInner>,
+        dispatch: &Dispatch,
+        participant: &Arc<dyn Participant>,
         msg: Message,
     ) {
-        let reply = msg.reply;
+        let result = Self::admit_and_run(inner, dispatch, participant, &msg.body);
+        if let Some(r) = msg.reply {
+            let _ = r.send_unmetered(tabs_proto::rpc::response_message(result));
+        }
+    }
+
+    fn admit_and_run(
+        inner: &Arc<ServerInner>,
+        dispatch: &Dispatch,
+        participant: &Arc<dyn Participant>,
+        body: &[u8],
+    ) -> Result<Vec<u8>, ServerError> {
         // Borrowed decode: the argument bytes are dispatched straight out
         // of the message buffer instead of being copied per request.
-        let req = match RequestRef::decode_ref_all(&msg.body) {
-            Ok(r) => r,
-            Err(e) => {
-                if let Some(r) = reply {
-                    let _ = r.send_unmetered(tabs_proto::rpc::response_message(Err(
-                        ServerError::BadRequest(e.to_string()),
-                    )));
-                }
-                return;
-            }
-        };
+        let req =
+            RequestRef::decode_ref_all(body).map_err(|e| ServerError::BadRequest(e.to_string()))?;
         // TransactionIsAborted: refuse work for aborted transactions.
         if !req.tid.is_null() && inner.tm.is_aborted(req.tid) {
-            if let Some(r) = reply {
-                let _ = r.send_unmetered(tabs_proto::rpc::response_message(Err(
-                    ServerError::Aborted(format!("{}", req.tid)),
-                )));
-            }
-            return;
+            return Err(ServerError::Aborted(format!("{}", req.tid)));
         }
         // Deadline gate: work whose end-to-end budget has already run out
         // is refused here — before the admission check, the enlistment,
         // the monitor, and any lock or log — so retry storms of expired
         // work cost the server nothing but this decode.
-        if let Some(d) = req.deadline {
-            if d.is_expired() {
-                if let Some(c) = &inner.deadline_expired {
-                    c.inc();
-                }
-                if let Some(r) = reply {
-                    let _ = r.send_unmetered(tabs_proto::rpc::response_message(Err(
-                        ServerError::DeadlineExceeded,
-                    )));
-                }
-                return;
+        if req.deadline.is_some_and(|d| d.is_expired()) {
+            if let Some(c) = &inner.deadline_expired {
+                c.inc();
             }
+            return Err(ServerError::DeadlineExceeded);
         }
-        // Admission gate: a request that would admit a *new* transaction
-        // past the in-flight limit is shed before it enlists, locks, or
-        // logs anything (so rejection leaks nothing — no 2PC state, no
-        // WAL records, no locks). Requests of already-admitted
-        // transactions always pass: shedding those would strand
-        // partially-done work.
-        if !req.tid.is_null() {
-            if let Some(limit) = inner.admission_limit {
-                let tx = inner.tx.lock();
-                if !tx.contains_key(&req.tid) && tx.len() >= limit {
-                    drop(tx);
-                    if let Some(c) = &inner.admission_shed {
-                        c.inc();
-                    }
-                    if let Some(r) = reply {
-                        let _ = r.send_unmetered(tabs_proto::rpc::response_message(Err(
-                            ServerError::Overloaded { retry_after_hint: inner.retry_after_hint },
-                        )));
-                    }
-                    return;
-                }
-            }
-        }
-        // Enlist with the Transaction Manager on first contact (§3.2.3).
         if !req.tid.is_null() {
             let mut tx = inner.tx.lock();
+            // Admission gate: a request that would admit a *new*
+            // transaction past the in-flight limit is shed before it
+            // enlists, locks, or logs anything (so rejection leaks nothing
+            // — no 2PC state, no WAL records, no locks). Requests of
+            // already-admitted transactions always pass: shedding those
+            // would strand partially-done work.
+            if inner.admission_limit.is_some_and(|limit| tx.len() >= limit)
+                && !tx.contains_key(&req.tid)
+            {
+                drop(tx);
+                if let Some(c) = &inner.admission_shed {
+                    c.inc();
+                }
+                return Err(ServerError::Overloaded { retry_after_hint: inner.retry_after_hint });
+            }
+            // Enlist with the Transaction Manager on first contact (§3.2.3).
             match tx.entry(req.tid) {
                 std::collections::hash_map::Entry::Vacant(e) => {
                     e.insert(TxCtx { deadline: req.deadline, ..TxCtx::default() });
                     drop(tx);
-                    inner.tm.enlist(req.tid, &inner.name, Arc::clone(&participant));
+                    inner.tm.enlist(req.tid, &inner.name, Arc::clone(participant));
                 }
                 std::collections::hash_map::Entry::Occupied(mut e) => {
                     // Later requests tighten (never loosen) the budget.
                     if let Some(d) = req.deadline {
                         let ctx = e.get_mut();
-                        ctx.deadline = Some(match ctx.deadline {
-                            Some(prev) => prev.min(d),
-                            None => d,
-                        });
+                        ctx.deadline = Some(ctx.deadline.map_or(d, |prev| prev.min(d)));
                     }
                 }
             }
         }
-        // Enter the monitor: the coroutine runs.
-        let guard = inner.monitor.lock();
-        let ctx = OpCtx { server: &inner, tid: req.tid, guard: RefCell::new(Some(guard)) };
-        let result = dispatch(&ctx, req.opcode, req.args);
-        drop(ctx);
-        if let Some(r) = reply {
-            let _ = r.send_unmetered(tabs_proto::rpc::response_message(result));
-        }
+        // Enter the monitor: the coroutine runs. It runs on the caller's
+        // stack — an application thread or a Communication Manager relay
+        // worker — so a panicking operation fails its own call and
+        // nothing else; unwinding drops the context, which releases the
+        // monitor.
+        catch_unwind(AssertUnwindSafe(|| {
+            let guard = inner.monitor.lock();
+            let ctx = OpCtx { server: inner, tid: req.tid, guard: RefCell::new(Some(guard)) };
+            dispatch(&ctx, req.opcode, req.args)
+        }))
+        .unwrap_or_else(|_| Err(ServerError::Other(format!("{}: operation panicked", inner.name))))
     }
 
     fn tx_updates(&self, tid: Tid) -> bool {
@@ -639,6 +604,9 @@ impl<'a> OpCtx<'a> {
         // the grant is race-free: refuse the grant rather than write as
         // a zombie after rollback.
         if self.server.tm.is_aborted(self.tid) {
+            // Not ahead of that abort's undo: a waiter let in now could
+            // read a value the undo is about to restore.
+            self.server.tm.await_undo();
             self.server.locks.release_all(self.tid);
             return Err(ServerError::Aborted(format!("{} aborted before lock grant", self.tid)));
         }
@@ -653,6 +621,7 @@ impl<'a> OpCtx<'a> {
         // Same zombie guard as `lock_object`: a grant for an
         // already-aborted transaction would never be released.
         if self.server.tm.is_aborted(self.tid) {
+            self.server.tm.await_undo();
             self.server.locks.release_all(self.tid);
             return false;
         }
@@ -1048,25 +1017,95 @@ mod tests {
         r.deps.kernel.join_all();
     }
 
+    /// Spins until `n` requests in all have parked in `ds`'s lock table.
+    fn await_lock_waits(ds: &DataServer, n: u64) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while ds.locks().wait_stats().waits < n {
+            assert!(std::time::Instant::now() < deadline, "no request parked in a lock wait");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A second caller completes while the first is parked in a lock wait.
     #[test]
     fn writer_waits_for_reader_then_proceeds() {
         let r = rig();
         let ds = start_cell_server(&r);
         let t1 = r.deps.tm.begin(Tid::NULL).unwrap();
         assert_eq!(get(&r, &ds, t1, 4).unwrap(), 0); // shared lock held
-                                                     // Writer in another thread blocks (monitor released during wait!).
         let r2 = Rig { deps: r.deps.clone(), pool: Arc::clone(&r.pool) };
         let ds2 = ds.clone();
         let t2 = r.deps.tm.begin(Tid::NULL).unwrap();
+        // The writer parks in the lock wait on its own stack, with the
+        // monitor released.
         let h = std::thread::spawn(move || set(&r2, &ds2, t2, 4, 7));
-        std::thread::sleep(Duration::from_millis(50));
-        // The reader can still use the server while the writer waits —
-        // proof the monitor was released at the lock wait point.
+        await_lock_waits(&ds, 1);
+        // Nothing queues behind it: the reader's next request runs on the
+        // reader's stack and completes.
         assert_eq!(get(&r, &ds, t1, 5).unwrap(), 0);
         // Commit the reader; the writer acquires and finishes.
         assert!(r.deps.tm.end(t1).unwrap());
         h.join().unwrap().unwrap();
         assert!(r.deps.tm.end(t2).unwrap());
+        r.deps.kernel.shutdown();
+        r.deps.kernel.join_all();
+    }
+
+    #[test]
+    fn deadline_expiring_inside_a_lock_wait_bounds_a_local_call() {
+        // A local call runs on the caller's thread, so no client-side
+        // response time-out bounds it: the server-side gates must.
+        const LOCK_TIMEOUT: Duration = Duration::from_secs(5);
+        const BUDGET: Duration = Duration::from_millis(50);
+        let r = rig();
+        let ds = DataServer::new(
+            &r.deps,
+            ServerConfig::new("cells", seg()).with_lock_timeout(LOCK_TIMEOUT),
+        )
+        .unwrap();
+        ds.accept_requests(cell_dispatch());
+        let holder = r.deps.tm.begin(Tid::NULL).unwrap();
+        set(&r, &ds, holder, 2, 5).unwrap();
+        let late = r.deps.tm.begin(Tid::NULL).unwrap();
+        let start = std::time::Instant::now();
+        let err = tabs_proto::rpc::call_with_deadline(
+            &r.deps.kernel,
+            &ds.send_right(),
+            late,
+            1,
+            2u64.to_le_bytes().to_vec(),
+            Deadline::after(BUDGET),
+        )
+        .unwrap_err();
+        assert_eq!(err, tabs_proto::RpcError::Server(ServerError::DeadlineExceeded));
+        assert!(start.elapsed() >= BUDGET, "the wait was cut short");
+        assert!(start.elapsed() < LOCK_TIMEOUT / 4, "took {:?}", start.elapsed());
+        r.deps.tm.abort(late).unwrap();
+        assert!(r.deps.tm.end(holder).unwrap());
+        assert_eq!(ds.locks().locked_object_count(), 0);
+        r.deps.kernel.shutdown();
+        r.deps.kernel.join_all();
+    }
+
+    #[test]
+    fn panicking_operation_fails_only_its_own_call() {
+        let r = rig();
+        let ds = DataServer::new(&r.deps, ServerConfig::new("cells", seg())).unwrap();
+        let cells = cell_dispatch();
+        ds.accept_requests(Arc::new(move |ctx, opcode, args| match opcode {
+            9 => panic!("server bug"),
+            _ => cells(ctx, opcode, args),
+        }));
+        let t = r.deps.tm.begin(Tid::NULL).unwrap();
+        set(&r, &ds, t, 0, 3).unwrap();
+        // The panic stops at the server boundary: this thread gets a
+        // typed error, not an unwind...
+        let err = tabs_proto::call(&r.deps.kernel, &ds.send_right(), t, 9, vec![]).unwrap_err();
+        assert!(matches!(err, tabs_proto::RpcError::Server(ServerError::Other(_))), "{err:?}");
+        // ...and the monitor was released: the server keeps serving, this
+        // transaction included.
+        assert_eq!(get(&r, &ds, t, 0).unwrap(), 3);
+        assert!(r.deps.tm.end(t).unwrap());
         r.deps.kernel.shutdown();
         r.deps.kernel.join_all();
     }

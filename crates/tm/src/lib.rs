@@ -291,6 +291,12 @@ pub struct TransactionManager {
     transport: Mutex<Arc<dyn CommitTransport>>,
     inner: Mutex<HashMap<Tid, TxInfo>>,
     cond: Condvar,
+    /// Held from before an abort marks its transaction `Aborted` until
+    /// its undo is applied and its locks released, and by a repeated
+    /// abort while it re-releases: releasing a lock between the mark and
+    /// the undo would let a waiter read — and write over — a value the
+    /// undo is about to restore.
+    undo_gate: Mutex<()>,
     /// Durable outcomes remembered for coordinator inquiries (loaded from
     /// crash recovery, appended to at runtime).
     outcomes: Mutex<HashMap<Tid, bool>>,
@@ -373,6 +379,7 @@ impl TransactionManager {
             transport: Mutex::new(Arc::new(NullTransport)),
             inner: Mutex::new(HashMap::new()),
             cond: Condvar::new(),
+            undo_gate: Mutex::new(()),
             outcomes: Mutex::new(HashMap::new()),
             perf,
             trace: Mutex::new(None),
@@ -626,6 +633,14 @@ impl TransactionManager {
         }
     }
 
+    /// Returns once every abort that had marked its transaction aborted
+    /// before this call has applied its undo and released its locks. A
+    /// server that finds [`TransactionManager::is_aborted`] true calls
+    /// this before releasing anything of that transaction itself.
+    pub fn await_undo(&self) {
+        drop(self.undo_gate.lock());
+    }
+
     /// States of live transactions, for Recovery Manager checkpoints.
     pub fn active_states(&self) -> Vec<(Tid, TxState)> {
         self.inner
@@ -691,6 +706,7 @@ impl TransactionManager {
     }
 
     fn abort_internal(&self, tid: Tid) -> Result<(), TmError> {
+        let gate = self.undo_gate.lock();
         let (merged, participants) = {
             let mut inner = self.inner.lock();
             let info = match inner.get_mut(&tid) {
@@ -706,7 +722,8 @@ impl TransactionManager {
                 // repeated abort re-chases whatever children exist now;
                 // the phase was set before any notification, so a child
                 // registered after this check is covered by the abort
-                // that observed it.
+                // that observed it. (The gate orders its re-release after
+                // the first abort's undo, which may still be running.)
                 drop(inner);
                 self.renotify_abort(tid);
                 return Ok(());
@@ -727,6 +744,7 @@ impl TransactionManager {
                 p.finish(*t, false);
             }
         }
+        drop(gate);
         self.outcomes.lock().insert(tid, false);
         self.deadlines.lock().remove(&tid);
         // Tell remote children (of every merged tid) to abort; the chaser
@@ -1427,6 +1445,7 @@ impl TransactionManager {
     }
 
     fn abort_local_tree(&self, tid: Tid, merged: &[Tid]) -> Result<(), TmError> {
+        let gate = self.undo_gate.lock();
         let participants = {
             let mut inner = self.inner.lock();
             let info = match inner.get_mut(&tid) {
@@ -1447,6 +1466,7 @@ impl TransactionManager {
                 p.finish(*t, false);
             }
         }
+        drop(gate);
         self.outcomes.lock().insert(tid, false);
         // Propagate to this node's own children.
         let transport = self.transport();
@@ -2355,6 +2375,54 @@ mod tests {
             assert!(!part.log.lock().iter().any(|l| l.contains("finish") && l.contains("false")));
         }
         assert_eq!(t1.count_sent(|_, m| matches!(m, CommitMsg::Abort { .. })), 0);
+    }
+
+    #[test]
+    fn repeated_abort_releases_nothing_ahead_of_the_first_aborts_undo() {
+        // An asynchronous abort (deadlock victim, suspicion) is still
+        // between marking the transaction and releasing its locks when the
+        // application, handed the victim's error, aborts it too. The
+        // repeat must not re-release ahead of the first: a waiter let in
+        // before the undo would have its write overwritten by it.
+        struct Held {
+            entered: Mutex<std::sync::mpsc::Sender<()>>,
+            go: Mutex<std::sync::mpsc::Receiver<()>>,
+            finishes: AtomicU64,
+        }
+        impl Participant for Held {
+            fn prepare(&self, _tid: Tid) -> Result<bool, String> {
+                Ok(true)
+            }
+            fn finish(&self, _tid: Tid, _committed: bool) {
+                if self.finishes.fetch_add(1, Ordering::SeqCst) == 0 {
+                    self.entered.lock().send(()).unwrap();
+                    self.go.lock().recv().unwrap();
+                }
+            }
+            fn commit_subtransaction(&self, _child: Tid, _parent: Tid) {}
+        }
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel();
+        let part = Arc::new(Held {
+            entered: Mutex::new(entered_tx),
+            go: Mutex::new(go_rx),
+            finishes: AtomicU64::new(0),
+        });
+        let (tm, _rm, _p) = make_tm(NodeId(1));
+        let t = tm.begin(Tid::NULL).unwrap();
+        tm.enlist(t, "s", part.clone());
+        let tm1 = Arc::clone(&tm);
+        let first = std::thread::spawn(move || tm1.abort(t));
+        entered_rx.recv_timeout(Duration::from_secs(5)).expect("first abort reached release");
+        assert!(tm.is_aborted(t));
+        let tm2 = Arc::clone(&tm);
+        let second = std::thread::spawn(move || tm2.abort(t));
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(part.finishes.load(Ordering::SeqCst), 1, "the repeat released early");
+        go_tx.send(()).unwrap();
+        first.join().unwrap().unwrap();
+        second.join().unwrap().unwrap();
+        assert_eq!(part.finishes.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -78,7 +78,8 @@ struct GroupMetrics {
 struct GroupState {
     /// Highest LSN any queued committer needs durable.
     high: Lsn,
-    /// Committers currently queued on the window, leader included.
+    /// Committers that arrived since a leader last fixed its target —
+    /// the ones no force is aimed at yet, the next leader included.
     waiters: usize,
     /// Whether a leader is collecting a batch or forcing right now.
     leader_active: bool,
@@ -338,7 +339,12 @@ impl LogManager {
                 }
             }
             let target = g.high;
-            let batch = g.waiters as u64;
+            // Everyone who has arrived is at or below `target`: claim
+            // them. A committer this force satisfies may lap the others
+            // and arrive again before they have woken up and left; were
+            // they still counted, its next window would look full and it
+            // would force alone.
+            let batch = std::mem::take(&mut g.waiters) as u64;
             drop(g);
             crash_point!(&self.crash, "wal.group.before-force");
             let before = self.durable_lsn();
@@ -365,7 +371,6 @@ impl LogManager {
             self.group_cv.notify_all();
             break forced;
         };
-        g.waiters -= 1;
         result
     }
 

@@ -115,6 +115,10 @@ fn metrics_deltas_match_perf_counters_exactly() {
         remote.set(tid, 1, i64::from(round) * 10).expect("remote write");
         assert!(app.end_transaction(tid).expect("end").is_committed());
     }
+    // `end_transaction` returns at the commit point: n2's commit force and
+    // its `CommitAck` must land before two snapshots taken one after the
+    // other can be compared.
+    assert!(cluster.quiesce(Duration::from_secs(5)), "phase 2 never drained");
 
     for (i, id) in [NodeId(1), NodeId(2)].into_iter().enumerate() {
         let metrics_delta =

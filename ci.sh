@@ -16,23 +16,35 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> served ports + observability, 10x beside a CPU hog (bounded): first red fails"
+echo "==> served ports + observability, 10x beside a CPU hog (bounded, 60 s): first red fails"
 # A snapshot taken before phase 2 drained only went red with the cores
 # busy; the served-port tests assert who runs where, so they ride along.
 hogs=()
 for _ in $(seq "$(nproc)"); do
+    # The time-out only reaps a hog orphaned by a killed ci.sh: the runs
+    # below end, or are ended, well inside it.
     timeout 120 sh -c 'while :; do :; done' &
     hogs+=($!)
 done
 trap 'kill "${hogs[@]}" 2>/dev/null || true' EXIT
+stage_end=$((SECONDS + 60))
 for run in $(seq 10); do
-    if ! out=$(cargo test -q -p tabs-kernel -p tabs-server-lib -p tabs-cm -p tabs-servers \
-        --lib --test observability 2>&1); then
+    left=$((stage_end - SECONDS))
+    if [ "$left" -le 0 ]; then
+        echo "stage out of its 60 s before run $run of 10" >&2
+        exit 1
+    fi
+    if ! out=$(timeout "$left" cargo test -q -p tabs-kernel -p tabs-server-lib -p tabs-cm \
+        -p tabs-servers --lib --test observability 2>&1); then
         echo "$out" >&2
-        echo "run $run of 10 under load failed" >&2
+        echo "run $run of 10 under load failed (or ran the stage past its 60 s)" >&2
         exit 1
     fi
 done
+if ! kill -0 "${hogs[@]}" 2>/dev/null; then
+    echo "a CPU hog died before the runs ended: they did not all run under load" >&2
+    exit 1
+fi
 kill "${hogs[@]}" 2>/dev/null || true
 trap - EXIT
 

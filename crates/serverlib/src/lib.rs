@@ -606,7 +606,7 @@ impl<'a> OpCtx<'a> {
         if self.server.tm.is_aborted(self.tid) {
             // Not ahead of that abort's undo: a waiter let in now could
             // read a value the undo is about to restore.
-            self.server.tm.await_undo();
+            self.server.tm.await_undo(self.tid);
             self.server.locks.release_all(self.tid);
             return Err(ServerError::Aborted(format!("{} aborted before lock grant", self.tid)));
         }
@@ -621,7 +621,7 @@ impl<'a> OpCtx<'a> {
         // Same zombie guard as `lock_object`: a grant for an
         // already-aborted transaction would never be released.
         if self.server.tm.is_aborted(self.tid) {
-            self.server.tm.await_undo();
+            self.server.tm.await_undo(self.tid);
             self.server.locks.release_all(self.tid);
             return false;
         }

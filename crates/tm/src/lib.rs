@@ -174,6 +174,13 @@ struct TxInfo {
     /// callback, a deadlock victim notice — must lose, or it would undo a
     /// transaction whose commit is being acknowledged.
     deciding: bool,
+    /// An abort has marked this transaction `Aborted` and is still
+    /// applying its undo and releasing its locks. Nobody else releases
+    /// anything of the transaction until this clears (waiters sleep on
+    /// the TM's `cond`): a lock released between the mark and the undo
+    /// would let a waiter read — and write over — a value the undo is
+    /// about to restore.
+    undoing: bool,
 }
 
 impl TxInfo {
@@ -187,6 +194,7 @@ impl TxInfo {
             yes_children: Vec::new(),
             remote_parent: None,
             deciding: false,
+            undoing: false,
         }
     }
 }
@@ -291,12 +299,6 @@ pub struct TransactionManager {
     transport: Mutex<Arc<dyn CommitTransport>>,
     inner: Mutex<HashMap<Tid, TxInfo>>,
     cond: Condvar,
-    /// Held from before an abort marks its transaction `Aborted` until
-    /// its undo is applied and its locks released, and by a repeated
-    /// abort while it re-releases: releasing a lock between the mark and
-    /// the undo would let a waiter read — and write over — a value the
-    /// undo is about to restore.
-    undo_gate: Mutex<()>,
     /// Durable outcomes remembered for coordinator inquiries (loaded from
     /// crash recovery, appended to at runtime).
     outcomes: Mutex<HashMap<Tid, bool>>,
@@ -379,7 +381,6 @@ impl TransactionManager {
             transport: Mutex::new(Arc::new(NullTransport)),
             inner: Mutex::new(HashMap::new()),
             cond: Condvar::new(),
-            undo_gate: Mutex::new(()),
             outcomes: Mutex::new(HashMap::new()),
             perf,
             trace: Mutex::new(None),
@@ -633,12 +634,15 @@ impl TransactionManager {
         }
     }
 
-    /// Returns once every abort that had marked its transaction aborted
-    /// before this call has applied its undo and released its locks. A
-    /// server that finds [`TransactionManager::is_aborted`] true calls
-    /// this before releasing anything of that transaction itself.
-    pub fn await_undo(&self) {
-        drop(self.undo_gate.lock());
+    /// Returns once the abort that marked `tid` aborted has applied its
+    /// undo and released its locks. A server that finds
+    /// [`TransactionManager::is_aborted`] true calls this before
+    /// releasing anything of that transaction itself.
+    pub fn await_undo(&self, tid: Tid) {
+        let mut inner = self.inner.lock();
+        while inner.get(&tid).is_some_and(|i| i.undoing) {
+            self.cond.wait(&mut inner);
+        }
     }
 
     /// States of live transactions, for Recovery Manager checkpoints.
@@ -706,7 +710,6 @@ impl TransactionManager {
     }
 
     fn abort_internal(&self, tid: Tid) -> Result<(), TmError> {
-        let gate = self.undo_gate.lock();
         let (merged, participants) = {
             let mut inner = self.inner.lock();
             let info = match inner.get_mut(&tid) {
@@ -722,8 +725,7 @@ impl TransactionManager {
                 // repeated abort re-chases whatever children exist now;
                 // the phase was set before any notification, so a child
                 // registered after this check is covered by the abort
-                // that observed it. (The gate orders its re-release after
-                // the first abort's undo, which may still be running.)
+                // that observed it.
                 drop(inner);
                 self.renotify_abort(tid);
                 return Ok(());
@@ -733,18 +735,10 @@ impl TransactionManager {
                 return Err(TmError::Unknown(tid));
             }
             info.phase = TxPhase::Aborted;
+            info.undoing = true;
             (info.merged.clone(), info.participants.clone())
         };
-        // Undo newest-first across the merged set.
-        for t in merged.iter().rev() {
-            self.rm.abort(*t).map_err(|e| TmError::Rm(e.to_string()))?;
-        }
-        for p in participants.values() {
-            for t in &merged {
-                p.finish(*t, false);
-            }
-        }
-        drop(gate);
+        self.undo_and_release(tid, &merged, &participants)?;
         self.outcomes.lock().insert(tid, false);
         self.deadlines.lock().remove(&tid);
         // Tell remote children (of every merged tid) to abort; the chaser
@@ -754,14 +748,45 @@ impl TransactionManager {
         Ok(())
     }
 
+    /// The body of an abort that has just marked `tid` `Aborted` and
+    /// `undoing`: undo newest-first across the merged set, release every
+    /// participant's locks, then let the waiting re-releases through.
+    fn undo_and_release(
+        &self,
+        tid: Tid,
+        merged: &[Tid],
+        participants: &HashMap<String, Arc<dyn Participant>>,
+    ) -> Result<(), TmError> {
+        let undone = merged
+            .iter()
+            .rev()
+            .try_for_each(|t| self.rm.abort(*t).map_err(|e| TmError::Rm(e.to_string())));
+        if undone.is_ok() {
+            for p in participants.values() {
+                for t in merged {
+                    p.finish(*t, false);
+                }
+            }
+        }
+        if let Some(info) = self.inner.lock().get_mut(&tid) {
+            info.undoing = false;
+        }
+        self.cond.notify_all();
+        undone
+    }
+
     /// Re-delivers an already-decided abort to the transaction's *current*
     /// participants and commit-tree children. Undo is not re-applied (the
-    /// first abort did that); this only sweeps up enlistments that raced
-    /// the first abort — a server reached after the abort read an empty
-    /// child set would otherwise hold its locks forever.
+    /// first abort did that — and is waited for, if it is still at it);
+    /// this only sweeps up enlistments that raced the first abort — a
+    /// server reached after the abort read an empty child set would
+    /// otherwise hold its locks forever.
     fn renotify_abort(&self, tid: Tid) {
         let (merged, participants) = {
-            let inner = self.inner.lock();
+            let mut inner = self.inner.lock();
+            while inner.get(&tid).is_some_and(|i| i.undoing) {
+                self.cond.wait(&mut inner);
+            }
             match inner.get(&tid) {
                 Some(i) => (i.merged.clone(), i.participants.clone()),
                 None => return,
@@ -1445,7 +1470,6 @@ impl TransactionManager {
     }
 
     fn abort_local_tree(&self, tid: Tid, merged: &[Tid]) -> Result<(), TmError> {
-        let gate = self.undo_gate.lock();
         let participants = {
             let mut inner = self.inner.lock();
             let info = match inner.get_mut(&tid) {
@@ -1456,17 +1480,10 @@ impl TransactionManager {
                 return Ok(());
             }
             info.phase = TxPhase::Aborted;
+            info.undoing = true;
             info.participants.clone()
         };
-        for t in merged.iter().rev() {
-            self.rm.abort(*t).map_err(|e| TmError::Rm(e.to_string()))?;
-        }
-        for p in participants.values() {
-            for t in merged {
-                p.finish(*t, false);
-            }
-        }
-        drop(gate);
+        self.undo_and_release(tid, merged, &participants)?;
         self.outcomes.lock().insert(tid, false);
         // Propagate to this node's own children.
         let transport = self.transport();
@@ -2415,14 +2432,28 @@ mod tests {
         let first = std::thread::spawn(move || tm1.abort(t));
         entered_rx.recv_timeout(Duration::from_secs(5)).expect("first abort reached release");
         assert!(tm.is_aborted(t));
+        // Every way back in waits: a second abort, an `end` that finds the
+        // transaction aborted, a server's zombie guard.
         let tm2 = Arc::clone(&tm);
         let second = std::thread::spawn(move || tm2.abort(t));
+        let tm3 = Arc::clone(&tm);
+        let ended = std::thread::spawn(move || tm3.end(t));
+        let tm4 = Arc::clone(&tm);
+        let guard = std::thread::spawn(move || tm4.await_undo(t));
         std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(part.finishes.load(Ordering::SeqCst), 1, "the repeat released early");
+        assert_eq!(part.finishes.load(Ordering::SeqCst), 1, "a repeat released early");
+        assert!(!guard.is_finished(), "the zombie guard did not wait for the undo");
+        // The wait is per transaction: another one aborts meanwhile.
+        let other = tm.begin(Tid::NULL).unwrap();
+        tm.enlist(other, "s", part.clone());
+        tm.abort(other).unwrap();
+        assert_eq!(part.finishes.load(Ordering::SeqCst), 2);
         go_tx.send(()).unwrap();
         first.join().unwrap().unwrap();
         second.join().unwrap().unwrap();
-        assert_eq!(part.finishes.load(Ordering::SeqCst), 2);
+        assert!(!ended.join().unwrap().unwrap());
+        guard.join().unwrap();
+        assert_eq!(part.finishes.load(Ordering::SeqCst), 4);
     }
 
     #[test]

@@ -81,6 +81,8 @@ struct GroupState {
     /// Committers that arrived since a leader last fixed its target —
     /// the ones no force is aimed at yet, the next leader included.
     waiters: usize,
+    /// Windows closed so far: bumped each time a leader claims `waiters`.
+    window: u64,
     /// Whether a leader is collecting a batch or forcing right now.
     leader_active: bool,
 }
@@ -174,7 +176,12 @@ impl LogManager {
             trace: Mutex::new(None),
             crash: CrashHookSlot::new(None),
             group_cfg: Mutex::new(None),
-            group: Mutex::new(GroupState { high: Lsn::ZERO, waiters: 0, leader_active: false }),
+            group: Mutex::new(GroupState {
+                high: Lsn::ZERO,
+                waiters: 0,
+                window: 0,
+                leader_active: false,
+            }),
             group_cv: Condvar::new(),
             group_metrics: Mutex::new(None),
         })
@@ -316,6 +323,7 @@ impl LogManager {
         };
         let mut g = self.group.lock();
         g.waiters += 1;
+        let arrived_in = g.window;
         if g.high < lsn {
             g.high = lsn;
         }
@@ -345,6 +353,7 @@ impl LogManager {
             // they still counted, its next window would look full and it
             // would force alone.
             let batch = std::mem::take(&mut g.waiters) as u64;
+            g.window += 1;
             drop(g);
             crash_point!(&self.crash, "wal.group.before-force");
             let before = self.durable_lsn();
@@ -371,6 +380,12 @@ impl LogManager {
             self.group_cv.notify_all();
             break forced;
         };
+        if g.window == arrived_in {
+            // Leaving unclaimed — an immediate force, or a neighbour's
+            // before this call, had covered `lsn`: not part of the next
+            // window either.
+            g.waiters -= 1;
+        }
         result
     }
 
@@ -682,6 +697,30 @@ mod tests {
             "lone committer delayed far beyond the window: {:?}",
             start.elapsed()
         );
+    }
+
+    #[test]
+    fn committer_already_covered_is_not_counted_into_the_next_window() {
+        // Preempted between append and force, a committer can arrive to
+        // find an immediate force has covered it. It leaves unclaimed and
+        // must take its count with it, or the next window would open one
+        // phantom fuller.
+        let dev = MemLogDevice::new(1 << 20);
+        let lm = LogManager::open(dev as Arc<dyn LogDevice>, PerfCounters::new()).unwrap();
+        lm.set_group_commit(Some(GroupCommitConfig {
+            max_delay: Duration::from_millis(1),
+            max_batch: 2,
+        }));
+        let batches = Counter::default();
+        let batched_commits = Counter::default();
+        lm.set_group_metrics(batches.clone(), batched_commits.clone());
+        let covered = lm.append(LogRecord::Commit { tid: tid(1) });
+        lm.force(None).unwrap();
+        assert_eq!(lm.force_batched(covered).unwrap(), covered);
+        assert_eq!(lm.group.lock().waiters, 0);
+        let lsn = lm.append(LogRecord::Commit { tid: tid(2) });
+        lm.force_batched(lsn).unwrap();
+        assert_eq!((batches.get(), batched_commits.get()), (1, 1));
     }
 
     #[test]

@@ -85,11 +85,11 @@ if ! cargo test -q -p tabs-chaos --test prop_partition; then
 fi
 cargo run -q -p tabs-bench --release --bin tables -- partition --quick
 
-echo "==> commit fast paths (bounded): property oracle + quick gated run"
+echo "==> commit fast paths (bounded): count properties + exact-count gated run"
 if ! cargo test -q -p tabs-chaos --test prop_fastpath; then
     echo "fast-path property suite failed: the proptest output above carries" >&2
-    echo "the minimal failing schedule; the differential oracle compares the" >&2
-    echo "same schedule under CommitPathPolicy::Seed and ::Fast" >&2
+    echo "the minimal failing schedule of sole-writer transfers or read-only" >&2
+    echo "audits whose forces, datagrams or counters were off" >&2
     exit 1
 fi
 cargo run -q -p tabs-bench --release --bin tables -- fastpath --quick

@@ -37,8 +37,8 @@ pub use overload::OverloadKillRun;
 pub use plan::{ChaosRng, DiskFaultSpec, FaultPlan, NetSchedule, ScheduledPolicy};
 pub use replicate::{ReplicationLatency, REPLICATION_POINTS};
 pub use runner::{
-    registry, ChaosRunner, Outcome, PartitionRun, Xfer, FASTPATH_POINTS, GROUP_COMMIT_POINTS,
-    PAIRWISE_ARMS, SINGLE_NODE_POINTS, TWO_PC_POINTS,
+    registry, ChaosRunner, Outcome, PartitionRun, Xfer, GROUP_COMMIT_POINTS, PAIRWISE_ARMS,
+    SINGLE_NODE_POINTS, TWO_PC_POINTS,
 };
 
 #[cfg(test)]
@@ -78,7 +78,6 @@ mod tests {
         let mut swept: Vec<&str> = Vec::new();
         swept.extend_from_slice(SINGLE_NODE_POINTS);
         swept.extend_from_slice(GROUP_COMMIT_POINTS);
-        swept.extend_from_slice(FASTPATH_POINTS);
         swept.extend_from_slice(TWO_PC_POINTS);
         swept.extend_from_slice(MIGRATION_POINTS);
         swept.extend_from_slice(REPLICATION_POINTS);

@@ -46,7 +46,10 @@ pub fn registry() -> Vec<&'static str> {
     v
 }
 
-/// Crash points exercised by local (single-node) transactions.
+/// Crash points exercised by local (single-node) transactions. A
+/// sole-writer commit is a single-participant 1PC, so the two sides of
+/// its commit force are swept here too: a kill before the force must
+/// leave no trace of the transfer, a kill after it the whole transfer.
 pub const SINGLE_NODE_POINTS: &[&str] = &[
     "wal.append.before",
     "wal.append.after",
@@ -56,17 +59,14 @@ pub const SINGLE_NODE_POINTS: &[&str] = &[
     "rm.commit.after",
     "rm.abort.before",
     "rm.abort.after",
+    "tm.1pc.before-force",
+    "tm.1pc.after-force",
 ];
 
 /// Crash points exercised only with group commit enabled: the default
 /// cluster never routes a force through the batch leader, so the
 /// group-commit sweep runs its own concurrent-committer workload.
 pub const GROUP_COMMIT_POINTS: &[&str] = &["wal.group.before-force", "wal.group.after-force"];
-
-/// Crash points exercised only by the single-participant 1PC fast path:
-/// the seed commit path never reaches them, so the fast-path sweep runs
-/// the single-node bank workload on a `CommitPathPolicy::Fast` cluster.
-pub const FASTPATH_POINTS: &[&str] = &["tm.1pc.before-force", "tm.1pc.after-force"];
 
 /// Crash points exercised only by the two-phase-commit protocol; the
 /// distributed sweep arms each on the coordinator and on the participant.
@@ -549,85 +549,6 @@ impl ChaosRunner {
 
         let balances = self.recovered_balances(&cluster, point, &xfers, CELLS)?;
         let again = self.recovered_balances(&cluster, point, &xfers, CELLS)?;
-        if balances != again {
-            return Err(fail(format!(
-                "re-recovery not idempotent: first {balances:?}, second {again:?}"
-            )));
-        }
-        Ok(was_killed)
-    }
-
-    // ---- Fast-path (1PC) sweep ---------------------------------------
-
-    /// Arms each point in [`FASTPATH_POINTS`] over the single-node bank
-    /// workload on a cluster running `CommitPathPolicy::Fast` — the only
-    /// configuration whose sole-writer commits route through the 1PC
-    /// force. Returns the points that actually killed the node. The
-    /// oracle proves the fast path keeps the seed's atomicity and
-    /// durability guarantees when the sole writer dies mid-1PC: a kill
-    /// before the force must leave no trace, a kill after it must leave
-    /// the whole transfer.
-    pub fn sweep_fastpath(&self) -> Result<BTreeSet<&'static str>, String> {
-        let mut killed = BTreeSet::new();
-        for &point in FASTPATH_POINTS {
-            if self.fastpath_scenario(point)? {
-                killed.insert(point);
-            }
-        }
-        Ok(killed)
-    }
-
-    /// Runs the single-node bank workload on a `CommitPathPolicy::Fast`
-    /// cluster with `point` armed; returns whether the node was killed.
-    fn fastpath_scenario(&self, point: &'static str) -> Result<bool, String> {
-        let fail = |m: String| self.fail(point, m);
-        let cluster = Cluster::with_config(
-            tabs_core::ClusterConfig::default().commit_paths(tabs_core::CommitPathPolicy::Fast),
-        );
-        let faults = NodeFaults::new(self.seed ^ 0x1FC);
-        install_fault_log(&cluster, 1, &faults);
-        install_fault_disk(&cluster, 1, "bank", &faults);
-
-        let (node, arr) = boot_array(&cluster, 1, "bank", 4).map_err(&fail)?;
-        let app = node.app();
-        let client = IntArrayClient::new(app.clone(), arr.send_right());
-        app.run(|t| {
-            for cell in 0..4 {
-                client.set(t, cell, BASE)?;
-            }
-            Ok(())
-        })
-        .map_err(|e| fail(format!("seeding failed: {e}")))?;
-
-        let kills: KillLog = Arc::new(Mutex::new(Vec::new()));
-        let ctl = CrashController::new(
-            &cluster,
-            NodeId(1),
-            vec![],
-            Some(point),
-            faults.clone(),
-            Arc::clone(&kills),
-        );
-        ctl.install(&node);
-
-        // Sole-writer transfers: every commit is a single-participant
-        // 1PC, so each one crosses the armed point.
-        let mut xfers = Vec::new();
-        for (from, to, amount) in [(0, 1, 10), (1, 2, 5), (3, 0, 3)] {
-            let outcome = transfer(&app, &client, from, &client, to, amount);
-            xfers.push(Xfer { from: from as usize, to: to as usize, amount, outcome });
-        }
-
-        let was_killed = ctl.was_killed();
-        drop(client);
-        drop(arr);
-        node.crash();
-        faults.clear();
-
-        // Recovery runs on the same Fast cluster config: the fast path
-        // must recover its own crashes, then prove idempotency.
-        let balances = self.recovered_balances(&cluster, point, &xfers, 4)?;
-        let again = self.recovered_balances(&cluster, point, &xfers, 4)?;
         if balances != again {
             return Err(fail(format!(
                 "re-recovery not idempotent: first {balances:?}, second {again:?}"

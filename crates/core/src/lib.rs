@@ -36,12 +36,12 @@ pub use tabs_obs::{
 pub use tabs_proto::{Deadline, DeadlinePolicy, RetryBudget, RetryPolicy};
 pub use tabs_rm::{RecoveryManager, RecoveryReport};
 pub use tabs_server_lib::{DataServer, Dispatch, OpCtx, ServerConfig, ServerDeps};
-pub use tabs_tm::{CommitPathPolicy, ReplicationPolicy, TmTimeouts, TransactionManager};
+pub use tabs_tm::{ReplicationPolicy, TmTimeouts, TransactionManager};
 pub use tabs_wal::GroupCommitConfig;
 
 /// Commonly used items for applications and data servers.
 pub mod prelude {
-    pub use crate::{Cluster, ClusterConfig, CommitPathPolicy, GroupCommitConfig, Node};
+    pub use crate::{Cluster, ClusterConfig, GroupCommitConfig, Node};
     pub use tabs_app_lib::{AppError, AppHandle, CommitOutcome};
     pub use tabs_cm::{FailureDetector, HeartbeatConfig};
     pub use tabs_detect::{DetectConfig, Detector};
@@ -71,9 +71,6 @@ pub struct ClusterConfig {
     pub net: NetConfig,
     /// Default lock time-out handed to data servers.
     pub lock_timeout: Duration,
-    /// Lock-table stripe count handed to data servers (1 reproduces the
-    /// original single-mutex lock table).
-    pub lock_stripes: usize,
     /// When set, recoverable segments and logs live in real files under
     /// this directory (surviving even process restarts); otherwise they
     /// use in-memory devices that survive only simulated node crashes.
@@ -100,12 +97,6 @@ pub struct ClusterConfig {
     /// suspects fail fast with a typed retryable error. `None` (the
     /// default) keeps the seed behaviour — time-outs only.
     pub heartbeat: Option<HeartbeatConfig>,
-    /// Commit-path selection for every booted node's Transaction Manager:
-    /// [`CommitPathPolicy::Seed`] (the default) keeps the historical path
-    /// byte for byte, `Fast` labels and instruments the 1PC / read-only
-    /// fast paths, `Full` runs the pessimistic full-2PC baseline the
-    /// `fastpath` bench compares against.
-    pub commit_paths: CommitPathPolicy,
     /// When set, every booted node's Transaction Manager treats a
     /// registered replica set as one logical 2PC participant: missing
     /// votes from suspected-dead members are waived once a majority of
@@ -137,13 +128,11 @@ impl Default for ClusterConfig {
             log_capacity: 64 << 20,
             net: NetConfig::default(),
             lock_timeout: Duration::from_millis(300),
-            lock_stripes: tabs_lock::DEFAULT_LOCK_STRIPES,
             storage_dir: None,
             trace: false,
             detect: false,
             group_commit: None,
             heartbeat: None,
-            commit_paths: CommitPathPolicy::Seed,
             replication: None,
             deadlines: None,
             admission_limit: None,
@@ -173,12 +162,6 @@ impl ClusterConfig {
     /// Sets the default lock time-out handed to data servers.
     pub fn lock_timeout(mut self, timeout: Duration) -> Self {
         self.lock_timeout = timeout;
-        self
-    }
-
-    /// Sets the lock-table stripe count handed to data servers.
-    pub fn lock_stripes(mut self, stripes: usize) -> Self {
-        self.lock_stripes = stripes.max(1);
         self
     }
 
@@ -212,12 +195,6 @@ impl ClusterConfig {
     /// 2PC termination and fail-fast remote calls) on every booted node.
     pub fn heartbeat(mut self, cfg: HeartbeatConfig) -> Self {
         self.heartbeat = Some(cfg);
-        self
-    }
-
-    /// Selects the commit-path policy for every booted node.
-    pub fn commit_paths(mut self, policy: CommitPathPolicy) -> Self {
-        self.commit_paths = policy;
         self
     }
 
@@ -447,16 +424,6 @@ impl Cluster {
         let rm = RecoveryManager::new(id, log, Arc::clone(&pool), Arc::clone(&perf));
         pool.set_gate(rm.gate());
         let tm = TransactionManager::new(id, incarnation, Arc::clone(&rm), Arc::clone(&perf));
-        if self.config.commit_paths != CommitPathPolicy::Seed {
-            tm.set_commit_paths(self.config.commit_paths);
-            if self.config.commit_paths == CommitPathPolicy::Fast {
-                let metrics = self.metrics(id);
-                tm.set_fastpath_metrics(
-                    metrics.counter("tm.commit.1pc"),
-                    metrics.counter("tm.prepare.readonly"),
-                );
-            }
-        }
         if let Some(policy) = self.config.replication {
             tm.set_replication(policy);
             let metrics = self.metrics(id);
@@ -469,9 +436,15 @@ impl Cluster {
             tm.set_deadline_metrics(self.metrics(id).counter("deadline.expired"));
         }
         {
-            // The background half of commit is visible in the registry:
-            // what the chaser re-sent, what it gave up on, what it owes.
+            // The commit paths taken are visible in the registry (1PC
+            // commits, read-only votes), and so is the background half of
+            // commit: what the chaser re-sent, what it gave up on, what it
+            // owes.
             let metrics = self.metrics(id);
+            tm.set_fastpath_metrics(
+                metrics.counter("tm.commit.1pc"),
+                metrics.counter("tm.prepare.readonly"),
+            );
             tm.set_phase2_metrics(
                 metrics.counter("tm.phase2.retransmits"),
                 metrics.counter("tm.phase2.expired"),
@@ -705,12 +678,10 @@ impl Node {
     }
 
     /// A [`ServerConfig`] for a data server on this node, honouring the
-    /// cluster's configured lock time-out, lock-table striping, and
-    /// admission limit.
+    /// cluster's configured lock time-out and admission limit.
     pub fn server_config(&self, name: &str, segment: SegmentId) -> ServerConfig {
-        let mut config = ServerConfig::new(name, segment)
-            .with_lock_timeout(self.cluster.config.lock_timeout)
-            .with_lock_stripes(self.cluster.config.lock_stripes);
+        let mut config =
+            ServerConfig::new(name, segment).with_lock_timeout(self.cluster.config.lock_timeout);
         if let Some(limit) = self.cluster.config.admission_limit {
             config = config.with_admission_limit(limit);
         }

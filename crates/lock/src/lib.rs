@@ -101,14 +101,14 @@ impl std::fmt::Display for LockError {
 
 impl std::error::Error for LockError {}
 
-/// Default number of lock-table stripes. Sixteen keeps the per-stripe
-/// tables small and makes release-time wakeups touch ~1/16 of the
-/// waiters while costing only sixteen tiny mutexes per server.
-pub const DEFAULT_LOCK_STRIPES: usize = 16;
+/// Number of lock-table stripes. Sixteen keeps the per-stripe tables
+/// small and spreads unrelated objects over sixteen tiny mutexes per
+/// server.
+const STRIPES: usize = 16;
 
-/// One parked waiter in a per-object wait queue (striped tables only).
-/// Each waiter parks on its own condition variable so a release can wake
-/// exactly the waiters it makes grantable, instead of the whole stripe.
+/// One parked waiter in a per-object wait queue. Each waiter parks on its
+/// own condition variable so a release can wake exactly the waiters it
+/// makes grantable.
 struct Waiter<M: LockMode> {
     tid: Tid,
     mode: M,
@@ -117,39 +117,21 @@ struct Waiter<M: LockMode> {
 
 /// Granted-lock state for one stripe of the table. Grants, conditional
 /// locks and releases touch exactly one stripe (hashed from the
-/// [`ObjectId`]), so unrelated objects never contend on one mutex and a
-/// release wakes only the waiters parked on its own stripe.
+/// [`ObjectId`]), so unrelated objects never contend on one mutex.
 struct StripeState<M: LockMode> {
     /// Granted locks per object (objects hashing to this stripe).
     holders: HashMap<ObjectId, Vec<(Tid, M)>>,
     /// Objects locked per transaction *in this stripe* (for release_all /
     /// transfer).
     by_tx: HashMap<Tid, HashSet<ObjectId>>,
-    /// FIFO wait queues per object (striped tables): a release wakes the
-    /// longest grantable prefix of the released object's queue and nobody
-    /// else. Empty in the one-stripe historical table, whose waiters all
-    /// park on the stripe-wide condition variable instead.
+    /// FIFO wait queues per object: a release wakes the longest grantable
+    /// prefix of the released object's queue and nobody else.
     queues: HashMap<ObjectId, Vec<Waiter<M>>>,
 }
 
-struct Stripe<M: LockMode> {
-    state: Mutex<StripeState<M>>,
-    /// In the one-stripe historical table, waiters park here and every
-    /// release wakes them all. Striped tables park waiters on per-object
-    /// condition variables in [`StripeState::queues`] instead.
-    cond: Condvar,
-}
-
-impl<M: LockMode> Default for Stripe<M> {
+impl<M: LockMode> Default for StripeState<M> {
     fn default() -> Self {
-        Self {
-            state: Mutex::new(StripeState {
-                holders: HashMap::new(),
-                by_tx: HashMap::new(),
-                queues: HashMap::new(),
-            }),
-            cond: Condvar::new(),
-        }
+        Self { holders: HashMap::new(), by_tx: HashMap::new(), queues: HashMap::new() }
     }
 }
 
@@ -192,19 +174,16 @@ pub trait WaitGraphSource: Send + Sync {
 /// locally"), so lock tables are per-server, not global — exactly the
 /// property that lets TABS servers tailor their locking.
 ///
-/// The granted-lock table is split into [`DEFAULT_LOCK_STRIPES`] stripes
-/// keyed by the object-id hash: grants, conditional locks and releases
-/// lock one stripe, and each stripe keeps a FIFO wait queue per object —
-/// a release wakes the longest grantable prefix of the released object's
+/// The granted-lock table is split into sixteen stripes keyed by the
+/// object-id hash: grants, conditional locks and releases lock one
+/// stripe, and each stripe keeps a FIFO wait queue per object — a
+/// release wakes the longest grantable prefix of the released object's
 /// queue and nothing else, so a storm of waiters on one hot object costs
-/// one wakeup per release instead of one per waiter. A single-stripe
-/// table (`with_stripes(_, 1)`) reproduces the historical design this
-/// replaced — one mutex, one condition variable, notify-all on every
-/// release, every waiter rechecking — and is kept as the benchmark
-/// baseline. The waits-for graph stays global (waiting is the cold
-/// path), so cross-stripe deadlock cycles are still detected exactly.
+/// one wakeup per release instead of one per waiter. The waits-for graph
+/// stays global (waiting is the cold path), so cross-stripe deadlock
+/// cycles are still detected exactly.
 pub struct LockManager<M: LockMode = StdMode> {
-    stripes: Box<[Stripe<M>]>,
+    stripes: Box<[Mutex<StripeState<M>>]>,
     waits: Mutex<WaitState>,
     policy: DeadlockPolicy,
     trace: Mutex<Option<Arc<TraceCollector>>>,
@@ -225,15 +204,17 @@ struct WaitCounters {
 }
 
 /// A snapshot of the wait path's wakeup behaviour, for benchmarks and
-/// tests that quantify the thundering-herd cost of a coarse lock table.
+/// tests that quantify what lock waiting costs.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WaitStats {
     /// `lock` calls that had to park at least once.
     pub waits: u64,
     /// Condvar wakeups of parked waiters (non-timeout returns).
     pub wakeups: u64,
-    /// Wakeups after which the waiter was still blocked and parked again
-    /// — the waste a single-stripe table's notify-all storm produces.
+    /// Wakeups after which the waiter was still blocked and parked again.
+    /// A release wakes only waiters it makes grantable, so this counts
+    /// races: a request that took the lock between a waiter's wakeup and
+    /// its recheck.
     pub spurious: u64,
 }
 
@@ -266,21 +247,10 @@ impl<M: LockMode> std::fmt::Debug for LockManager<M> {
 }
 
 impl<M: LockMode> LockManager<M> {
-    /// Creates a lock manager with the given deadlock-resolution policy
-    /// and the default stripe count.
+    /// Creates a lock manager with the given deadlock-resolution policy.
     pub fn new(policy: DeadlockPolicy) -> Self {
-        Self::with_stripes(policy, DEFAULT_LOCK_STRIPES)
-    }
-
-    /// Creates a lock manager with an explicit stripe count. One stripe
-    /// reproduces the historical single-mutex table — stripe-wide
-    /// condition variable, notify-all wakeups — as the benchmark
-    /// baseline; striped tables (the default) add per-object FIFO wait
-    /// queues with precise wakeups. Counts are clamped to at least one.
-    pub fn with_stripes(policy: DeadlockPolicy, stripes: usize) -> Self {
-        let n = stripes.max(1);
         Self {
-            stripes: (0..n).map(|_| Stripe::default()).collect(),
+            stripes: (0..STRIPES).map(|_| Mutex::default()).collect(),
             waits: Mutex::new(WaitState {
                 waits_for: HashMap::new(),
                 victims: HashSet::new(),
@@ -296,16 +266,6 @@ impl<M: LockMode> LockManager<M> {
     /// Creates a shared lock manager.
     pub fn shared(policy: DeadlockPolicy) -> Arc<Self> {
         Arc::new(Self::new(policy))
-    }
-
-    /// Creates a shared lock manager with an explicit stripe count.
-    pub fn shared_with_stripes(policy: DeadlockPolicy, stripes: usize) -> Arc<Self> {
-        Arc::new(Self::with_stripes(policy, stripes))
-    }
-
-    /// Number of stripes the granted-lock table is split into.
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
     }
 
     /// The stripe an object's locks live in.
@@ -391,13 +351,7 @@ impl<M: LockMode> LockManager<M> {
         waits.waiting_in.remove(&tid);
     }
 
-    /// Whether this table uses per-object wait queues (striped tables) or
-    /// the historical stripe-wide notify-all (one stripe).
-    fn precise(&self) -> bool {
-        self.stripes.len() > 1
-    }
-
-    /// Removes `tid` from `object`'s wait queue (striped tables).
+    /// Removes `tid` from `object`'s wait queue.
     fn dequeue(state: &mut StripeState<M>, object: ObjectId, tid: Tid) {
         if let Some(q) = state.queues.get_mut(&object) {
             if let Some(pos) = q.iter().position(|w| w.tid == tid) {
@@ -449,10 +403,9 @@ impl<M: LockMode> LockManager<M> {
         let stripe = &self.stripes[idx];
         let mut waited = false;
         let mut parks: u64 = 0;
-        // The per-object queue entry's condition variable, once parked
-        // (striped tables only; the one-stripe table parks stripe-wide).
+        // The per-object queue entry's condition variable, once queued.
         let mut queued: Option<Arc<Condvar>> = None;
-        let mut state = stripe.state.lock();
+        let mut state = stripe.lock();
         loop {
             if waited {
                 // An external detector may have picked this waiter as a
@@ -500,7 +453,7 @@ impl<M: LockMode> LockManager<M> {
                 waits.waits_for.insert(tid, blockers.into_iter().collect());
                 waits.waiting_in.insert(tid, (idx, object));
             }
-            if self.precise() && queued.is_none() {
+            if queued.is_none() {
                 let cond = Arc::new(Condvar::new());
                 state.queues.entry(object).or_default().push(Waiter {
                     tid,
@@ -517,32 +470,27 @@ impl<M: LockMode> LockManager<M> {
                 self.stats.waits.fetch_add(1, Ordering::Relaxed);
                 drop(state);
                 self.emit(tid, TraceEvent::LockWait { object, mode: format!("{mode:?}") });
-                state = stripe.state.lock();
+                state = stripe.lock();
                 continue;
             }
             parks += 1;
             if parks > 1 {
                 // The previous wakeup found the object still blocked: a
-                // spurious wakeup (on the one-stripe table, every release
-                // produces a storm of these).
+                // spurious wakeup.
                 self.stats.spurious.fetch_add(1, Ordering::Relaxed);
             }
-            let timed_out = match &queued {
-                Some(cond) => cond.wait_until(&mut state, deadline).timed_out(),
-                None => stripe.cond.wait_until(&mut state, deadline).timed_out(),
-            };
+            let cond = queued.as_ref().expect("a blocked request is queued before it parks");
+            let timed_out = cond.wait_until(&mut state, deadline).timed_out();
             if !timed_out {
                 self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
             }
             if timed_out {
                 Self::clear_wait(&mut self.waits.lock(), tid);
-                if queued.is_some() {
-                    // Leave the queue and pass the baton: a release may
-                    // have woken only this waiter moments ago, and its
-                    // successors must not sleep on a now-free lock.
-                    Self::dequeue(&mut state, object, tid);
-                    Self::wake_object(&state, object);
-                }
+                // Leave the queue and pass the baton: a release may have
+                // woken only this waiter moments ago, and its successors
+                // must not sleep on a now-free lock.
+                Self::dequeue(&mut state, object, tid);
+                Self::wake_object(&state, object);
                 drop(state);
                 self.emit(tid, TraceEvent::LockTimeout { object, mode: format!("{mode:?}") });
                 return Err(LockError::Timeout(object));
@@ -553,7 +501,7 @@ impl<M: LockMode> LockManager<M> {
     /// `ConditionallyLockObject` (Table 3-1): acquires the lock only if it
     /// is immediately available. Touches one stripe, never the wait state.
     pub fn try_lock(&self, tid: Tid, object: ObjectId, mode: M) -> bool {
-        let mut state = self.stripes[self.stripe_of(object)].state.lock();
+        let mut state = self.stripes[self.stripe_of(object)].lock();
         if Self::blockers(&state, object, tid, mode).is_empty() {
             Self::grant(&mut state, object, tid, mode);
             true
@@ -565,19 +513,19 @@ impl<M: LockMode> LockManager<M> {
     /// `IsObjectLocked` (Table 3-1): whether *any* transaction holds a lock
     /// on `object`. Added to the server library for the weak queue (§4.2).
     pub fn is_locked(&self, object: ObjectId) -> bool {
-        let state = self.stripes[self.stripe_of(object)].state.lock();
+        let state = self.stripes[self.stripe_of(object)].lock();
         state.holders.get(&object).map(|h| !h.is_empty()).unwrap_or(false)
     }
 
     /// Whether `tid` itself holds a lock on `object` in any mode.
     pub fn holds(&self, tid: Tid, object: ObjectId) -> bool {
-        let state = self.stripes[self.stripe_of(object)].state.lock();
+        let state = self.stripes[self.stripe_of(object)].lock();
         state.holders.get(&object).map(|h| h.iter().any(|(t, _)| *t == tid)).unwrap_or(false)
     }
 
     /// Current holders of `object`.
     pub fn holders(&self, object: ObjectId) -> Vec<(Tid, M)> {
-        let state = self.stripes[self.stripe_of(object)].state.lock();
+        let state = self.stripes[self.stripe_of(object)].lock();
         state.holders.get(&object).cloned().unwrap_or_default()
     }
 
@@ -585,7 +533,7 @@ impl<M: LockMode> LockManager<M> {
     pub fn locked_by(&self, tid: Tid) -> Vec<ObjectId> {
         let mut v: Vec<ObjectId> = Vec::new();
         for stripe in self.stripes.iter() {
-            let state = stripe.state.lock();
+            let state = stripe.lock();
             if let Some(s) = state.by_tx.get(&tid) {
                 v.extend(s.iter().copied());
             }
@@ -594,44 +542,22 @@ impl<M: LockMode> LockManager<M> {
         v
     }
 
-    /// Every `(object, mode)` grant `tid` currently holds, across all
-    /// stripes (one entry per granted mode when a transaction holds an
-    /// object in several modes).
-    pub fn modes_held_by(&self, tid: Tid) -> Vec<(ObjectId, M)> {
-        let mut v: Vec<(ObjectId, M)> = Vec::new();
-        for stripe in self.stripes.iter() {
-            let state = stripe.state.lock();
-            if let Some(objects) = state.by_tx.get(&tid) {
-                for object in objects {
-                    if let Some(hs) = state.holders.get(object) {
-                        v.extend(hs.iter().filter(|(t, _)| *t == tid).map(|(_, m)| (*object, *m)));
-                    }
-                }
-            }
-        }
-        v.sort_by_key(|(o, _)| *o);
-        v
-    }
-
     /// Whether `tid` holds at least one lock in any stripe.
     fn holds_any(&self, tid: Tid) -> bool {
-        self.stripes.iter().any(|s| s.state.lock().by_tx.contains_key(&tid))
+        self.stripes.iter().any(|s| s.lock().by_tx.contains_key(&tid))
     }
 
     /// Releases every lock held by `tid` (done automatically by the server
-    /// library at commit or abort, §3.1.1) and wakes waiters — the
-    /// grantable prefix of each released object's queue on striped
-    /// tables, the whole stripe on the one-stripe baseline.
+    /// library at commit or abort, §3.1.1) and wakes the grantable prefix
+    /// of each released object's wait queue.
     pub fn release_all(&self, tid: Tid) {
         // Clear the granted state stripe by stripe BEFORE touching the
         // wait graph: a `wait_graph` snapshot between the two phases
         // filters edges through the (already emptied) holder tables, so
         // no exported edge can still point at this transaction once its
         // edges are gone.
-        let precise = self.precise();
-        let mut touched = Vec::new();
-        for (idx, stripe) in self.stripes.iter().enumerate() {
-            let mut state = stripe.state.lock();
+        for stripe in self.stripes.iter() {
+            let mut state = stripe.lock();
             if let Some(objects) = state.by_tx.remove(&tid) {
                 for object in objects {
                     if let Some(hs) = state.holders.get_mut(&object) {
@@ -640,11 +566,8 @@ impl<M: LockMode> LockManager<M> {
                             state.holders.remove(&object);
                         }
                     }
-                    if precise {
-                        Self::wake_object(&state, object);
-                    }
+                    Self::wake_object(&state, object);
                 }
-                touched.push(idx);
             }
         }
         {
@@ -659,22 +582,13 @@ impl<M: LockMode> LockManager<M> {
             });
             waits.victims.remove(&tid);
         }
-        if !precise {
-            // Historical baseline: wake every waiter on every touched
-            // stripe and let them recheck.
-            for idx in touched {
-                self.stripes[idx].cond.notify_all();
-            }
-        }
     }
 
     /// Moves all of `from`'s locks to `to` (subtransaction commit: the
     /// parent assumes the child's locks).
     pub fn transfer(&self, from: Tid, to: Tid) {
-        let precise = self.precise();
-        let mut touched = Vec::new();
-        for (idx, stripe) in self.stripes.iter().enumerate() {
-            let mut state = stripe.state.lock();
+        for stripe in self.stripes.iter() {
+            let mut state = stripe.lock();
             if let Some(objects) = state.by_tx.remove(&from) {
                 for object in &objects {
                     if let Some(hs) = state.holders.get_mut(object) {
@@ -687,14 +601,11 @@ impl<M: LockMode> LockManager<M> {
                         let mut seen = HashSet::new();
                         hs.retain(|e| seen.insert(*e));
                     }
-                    if precise {
-                        // The rename may unblock a waiter the new holder
-                        // no longer conflicts with (self-compatibility).
-                        Self::wake_object(&state, *object);
-                    }
+                    // The rename may unblock a waiter the new holder no
+                    // longer conflicts with (self-compatibility).
+                    Self::wake_object(&state, *object);
                 }
                 state.by_tx.entry(to).or_default().extend(objects);
-                touched.push(idx);
             }
         }
         {
@@ -709,31 +620,11 @@ impl<M: LockMode> LockManager<M> {
                 }
             }
         }
-        // The parent may itself be a waiter that the renamed holders no
-        // longer block (self-compatibility); on the one-stripe baseline,
-        // wake the touched stripes so it recomputes.
-        if !precise {
-            for idx in touched {
-                self.stripes[idx].cond.notify_all();
-            }
-        }
     }
 
     /// Number of distinct locked objects (introspection for tests).
     pub fn locked_object_count(&self) -> usize {
-        self.stripes.iter().map(|s| s.state.lock().holders.len()).sum()
-    }
-}
-
-impl LockManager<StdMode> {
-    /// Read-only classification for the commit fast paths: whether every
-    /// lock `tid` holds here is [`StdMode::Shared`]. A participant that
-    /// satisfies this (and logged no updates) may vote read-only, release
-    /// its locks at phase 1 and drop out of phase 2 — it has no durable
-    /// or exclusive state for the decision to protect. Vacuously true
-    /// when `tid` holds no locks.
-    pub fn holds_only_shared(&self, tid: Tid) -> bool {
-        self.modes_held_by(tid).iter().all(|(_, m)| *m == StdMode::Shared)
+        self.stripes.iter().map(|s| s.lock().holders.len()).sum()
     }
 }
 
@@ -764,13 +655,13 @@ impl<M: LockMode> WaitGraphSource for LockManager<M> {
     }
 
     fn abort_waiter(&self, tid: Tid) -> bool {
-        // Flag under the wait mutex, then wake exactly the stripe the
-        // victim is parked in. Locking that stripe's mutex before
-        // notifying closes the race with a waiter that has registered but
-        // not yet parked: registration happens with the stripe mutex
-        // held, so acquiring it here means the victim is either already
-        // parked (and gets the notify) or will re-check the flag at its
-        // loop top before parking.
+        // Flag under the wait mutex, then wake exactly the victim's own
+        // condition variable. Locking its stripe's mutex before notifying
+        // closes the race with a waiter that has registered but not yet
+        // parked: registration happens with the stripe mutex held, so
+        // acquiring it here means the victim is either already parked
+        // (and gets the notify) or will re-check the flag at its loop top
+        // before parking.
         let parked = {
             let mut waits = self.waits.lock();
             // Only flag transactions actually blocked here; otherwise the
@@ -782,14 +673,10 @@ impl<M: LockMode> WaitGraphSource for LockManager<M> {
             waits.waiting_in.get(&tid).copied()
         };
         if let Some((idx, object)) = parked {
-            let state = self.stripes[idx].state.lock();
+            let state = self.stripes[idx].lock();
             if let Some(w) = state.queues.get(&object).and_then(|q| q.iter().find(|w| w.tid == tid))
             {
-                // Striped table: wake exactly the victim's own condvar.
                 w.cond.notify_one();
-            } else {
-                drop(state);
-                self.stripes[idx].cond.notify_all();
             }
         }
         true
@@ -871,28 +758,6 @@ mod tests {
         assert!(lm.is_locked(obj(1)));
         assert!(lm.holds(tid(1), obj(1)));
         assert!(!lm.holds(tid(2), obj(1)));
-    }
-
-    #[test]
-    fn shared_only_classification() {
-        let lm = LockManager::<StdMode>::default();
-        // No locks at all: vacuously read-only.
-        assert!(lm.holds_only_shared(tid(1)));
-        lm.lock(tid(1), obj(1), StdMode::Shared, T).unwrap();
-        lm.lock(tid(1), obj(2), StdMode::Shared, T).unwrap();
-        assert!(lm.holds_only_shared(tid(1)));
-        assert_eq!(
-            lm.modes_held_by(tid(1)),
-            vec![(obj(1), StdMode::Shared), (obj(2), StdMode::Shared)]
-        );
-        // One exclusive grant disqualifies the transaction, another
-        // transaction's X-lock does not.
-        lm.lock(tid(2), obj(3), StdMode::Exclusive, T).unwrap();
-        assert!(lm.holds_only_shared(tid(1)));
-        lm.lock(tid(1), obj(4), StdMode::Exclusive, T).unwrap();
-        assert!(!lm.holds_only_shared(tid(1)));
-        lm.release_all(tid(1));
-        assert!(lm.holds_only_shared(tid(1)));
     }
 
     #[test]
@@ -1123,27 +988,6 @@ mod tests {
     }
 
     #[test]
-    fn single_stripe_preserves_conflict_semantics() {
-        let lm = LockManager::<StdMode>::with_stripes(DeadlockPolicy::Timeout, 1);
-        assert_eq!(lm.stripe_count(), 1);
-        lm.lock(tid(1), obj(1), StdMode::Exclusive, T).unwrap();
-        assert_eq!(
-            lm.lock(tid(2), obj(1), StdMode::Shared, T).unwrap_err(),
-            LockError::Timeout(obj(1))
-        );
-        lm.release_all(tid(1));
-        lm.lock(tid(2), obj(1), StdMode::Shared, T).unwrap();
-    }
-
-    #[test]
-    fn stripe_count_clamps_to_one() {
-        let lm = LockManager::<StdMode>::with_stripes(DeadlockPolicy::Timeout, 0);
-        assert_eq!(lm.stripe_count(), 1);
-        lm.lock(tid(1), obj(1), StdMode::Exclusive, T).unwrap();
-        assert!(lm.holds(tid(1), obj(1)));
-    }
-
-    #[test]
     fn concurrent_acquire_release_across_stripes() {
         // Many threads each exercise lock/release over objects spread
         // across every stripe; conflict semantics must hold throughout
@@ -1208,8 +1052,7 @@ mod tests {
         // The external-detector path: two waiters parked on different
         // stripes form a cycle; abort_waiter must find the victim's
         // stripe and wake exactly it with a deadlock error.
-        let lm = LockManager::<StdMode>::with_stripes(DeadlockPolicy::Timeout, 16);
-        let lm = Arc::new(lm);
+        let lm = LockManager::<StdMode>::shared(DeadlockPolicy::Timeout);
         let (a, b) = cross_stripe_pair(&lm);
         lm.lock(tid(1), a, StdMode::Exclusive, T).unwrap();
         lm.lock(tid(2), b, StdMode::Exclusive, T).unwrap();
@@ -1287,7 +1130,7 @@ mod tests {
 
     #[test]
     fn exclusive_herd_wakes_without_spurious_wakeups() {
-        // Striped table: four exclusive waiters pile onto one object. As
+        // Four exclusive waiters pile onto one object. As
         // the lock hands down the queue, each release must wake exactly
         // the next grantable waiter — never the whole herd.
         let lm = LockManager::<StdMode>::shared(DeadlockPolicy::Timeout);
@@ -1373,21 +1216,5 @@ mod tests {
         upgrader.join().unwrap().unwrap();
         assert!(!lm.try_lock(tid(3), obj(1), StdMode::Shared));
         lm.release_all(tid(1));
-    }
-
-    #[test]
-    fn coarse_baseline_still_wakes_its_herd() {
-        // The one-stripe historical table keeps notify-all semantics: a
-        // herd of waiters on one object all make progress, at the cost of
-        // spurious wakeups (which the stats must show).
-        let lm = Arc::new(LockManager::<StdMode>::with_stripes(DeadlockPolicy::Timeout, 1));
-        lm.lock(tid(1), obj(1), StdMode::Exclusive, T).unwrap();
-        let handles = park_exclusive_waiters(&lm, obj(1), &[2, 3, 4]);
-        lm.release_all(tid(1));
-        for h in handles {
-            h.join().unwrap().unwrap();
-        }
-        assert_eq!(lm.wait_stats().waits, 3);
-        assert_eq!(lm.locked_object_count(), 0);
     }
 }

@@ -1,6 +1,6 @@
-//! Commit fast-path comparison: the 1PC / read-only-voter fast paths
-//! versus a pessimistic full-2PC baseline, measured with the same
-//! message/force accounting the rest of the perf suite uses.
+//! Commit fast paths: what the 1PC and read-only-voter paths cost,
+//! counted exactly, beside the full two-phase-commit price of the same
+//! transactions.
 //!
 //! The workload is a deterministic two-node bank: the coordinator node
 //! owns one integer array (the *sole-writer* target) and the remote node
@@ -8,31 +8,31 @@
 //! 8:2 mix of
 //!
 //! - **remote audits** — two shared-locked reads of the remote array;
-//!   the remote participant holds only S-locks at commit, and
+//!   the remote participant logged nothing, so it votes read-only and
+//!   drops out of phase 2, and
 //! - **local transfers** — a two-account transfer on the coordinator's
-//!   own array; the coordinator is the sole writer with no children.
+//!   own array; the coordinator is the sole writer with no children, so
+//!   it commits in one phase.
 //!
-//! The same seeded schedule runs once under
-//! [`CommitPathPolicy::Full`] — every participant is forced through both
-//! phases and both log forces, the classical pessimistic presumed-nothing
-//! cost model — and once under [`CommitPathPolicy::Fast`]. Datagram and
-//! stable-storage-force deltas come from the kernel's Table 5-1
-//! primitive counters, so per-commit costs are exact counts, not
-//! estimates:
+//! Datagram and stable-storage-force deltas are taken around every
+//! transaction from the kernel's Table 5-1 primitive counters, so the
+//! per-shape costs are exact counts, not estimates. The full-2PC column
+//! is not run; it is the protocol's price for the same shapes: an audit
+//! would pay Prepare, VoteYes, Commit and CommitAck plus the
+//! participant's prepare and commit forces and the coordinator's commit
+//! force, and a sole-writer transfer a forced prepare before its commit.
 //!
-//! | per commit        | full 2PC            | fast paths          |
-//! |-------------------|---------------------|---------------------|
-//! | remote audit      | 4 msgs / 3 forces   | 2 msgs / 0 forces   |
-//! | local transfer    | 0 msgs / 2 forces   | 0 msgs / 1 force    |
+//! | per commit        | full 2PC (priced)   | fast paths (measured) |
+//! |-------------------|---------------------|-----------------------|
+//! | remote audit      | 4 msgs / 3 forces   | 2 msgs / 0 forces     |
+//! | local transfer    | 0 msgs / 2 forces   | 0 msgs / 1 force      |
 //!
-//! At the 8:2 mix the expected ratios are 2.0x fewer datagrams per
-//! commit and 14x fewer forces per commit; the gate requires >= 2x on
-//! both. Counts are deterministic, so the gate holds in `--quick` runs
-//! too.
+//! The gate requires the measured column exactly. Counts are
+//! deterministic, so it holds in `--quick` runs too.
 
 use std::time::{Duration, Instant};
 
-use tabs_core::{Cluster, ClusterConfig, CommitPathPolicy, NodeId, TmTimeouts};
+use tabs_core::{Cluster, NodeId, TmTimeouts};
 use tabs_kernel::PrimitiveOp;
 use tabs_servers::harness::client_for;
 use tabs_servers::{IntArrayClient, IntArrayServer};
@@ -58,24 +58,60 @@ const FASTPATH_TIMEOUTS: TmTimeouts = TmTimeouts {
     ack_deadline: Duration::from_secs(5),
 };
 
-/// Measurements from one policy's run of the fast-path workload.
+/// What one transaction shape cost over a run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShapeCost {
+    /// Transactions of this shape that committed.
+    pub commits: u64,
+    /// Inter-node datagrams they sent.
+    pub datagrams: u64,
+    /// Stable-storage forces they cost.
+    pub forces: u64,
+}
+
+impl ShapeCost {
+    /// The full-2PC price of one remote read-only audit.
+    pub const FULL_2PC_AUDIT: ShapeCost = ShapeCost { commits: 1, datagrams: 4, forces: 3 };
+    /// The full-2PC price of one sole-writer local transfer.
+    pub const FULL_2PC_TRANSFER: ShapeCost = ShapeCost { commits: 1, datagrams: 0, forces: 2 };
+    /// What one remote read-only audit must cost on the fast path.
+    pub const FAST_AUDIT: ShapeCost = ShapeCost { commits: 1, datagrams: 2, forces: 0 };
+    /// What one sole-writer local transfer must cost on the fast path.
+    pub const FAST_TRANSFER: ShapeCost = ShapeCost { commits: 1, datagrams: 0, forces: 1 };
+
+    /// Adds one committed transaction's deltas.
+    fn add(&mut self, delta: &tabs_kernel::PerfSnapshot) {
+        self.commits += 1;
+        self.datagrams += delta.get(PrimitiveOp::Datagram);
+        self.forces += delta.get(PrimitiveOp::StableStorageWrite);
+    }
+
+    /// Whether every commit cost exactly `per` (whose `commits` is 1).
+    pub fn each_costs(&self, per: ShapeCost) -> bool {
+        self.datagrams == self.commits * per.datagrams && self.forces == self.commits * per.forces
+    }
+
+    /// `datagrams / forces` per commit, for the report table.
+    fn per_commit(&self) -> String {
+        let n = (self.commits as f64).max(1.0);
+        format!("{:.2} / {:.2}", self.datagrams as f64 / n, self.forces as f64 / n)
+    }
+}
+
+/// Measurements from one run of the fast-path workload.
 #[derive(Debug, Clone)]
 pub struct FastpathRun {
-    /// Which commit-path policy the cluster ran.
-    pub policy: CommitPathPolicy,
-    /// Transactions that committed (the whole schedule, or the run fails).
-    pub committed: u64,
-    /// Inter-node datagrams the measured window cost.
-    pub datagrams: u64,
-    /// Stable-storage forces the measured window cost.
-    pub forces: u64,
+    /// Remote read-only audits.
+    pub audits: ShapeCost,
+    /// Sole-writer local transfers.
+    pub transfers: ShapeCost,
     /// Wall clock over the measured window.
     pub elapsed: Duration,
     /// Per-transaction latencies, sorted ascending.
     pub latencies: Vec<Duration>,
-    /// `tm.commit.1pc` delta (zero except under `Fast`).
+    /// `tm.commit.1pc` delta on the coordinator.
     pub one_pc: u64,
-    /// `tm.prepare.readonly` delta (zero except under `Fast`).
+    /// `tm.prepare.readonly` delta on the remote participant.
     pub readonly_votes: u64,
     /// Both arrays conserved their total balance after the run.
     pub invariant_ok: bool,
@@ -86,32 +122,25 @@ pub struct FastpathRun {
 }
 
 impl FastpathRun {
+    /// Transactions that committed (the whole schedule, or the run fails).
+    pub fn committed(&self) -> u64 {
+        self.audits.commits + self.transfers.commits
+    }
+
     /// Datagrams per committed transaction.
     pub fn messages_per_commit(&self) -> f64 {
-        self.datagrams as f64 / (self.committed as f64).max(1.0)
+        (self.audits.datagrams + self.transfers.datagrams) as f64
+            / (self.committed() as f64).max(1.0)
     }
 
     /// Log forces per committed transaction.
     pub fn forces_per_commit(&self) -> f64 {
-        self.forces as f64 / (self.committed as f64).max(1.0)
+        (self.audits.forces + self.transfers.forces) as f64 / (self.committed() as f64).max(1.0)
     }
 
     /// The `p`-th percentile (0–100) of transaction latency.
     pub fn percentile(&self, p: u32) -> Duration {
-        if self.latencies.is_empty() {
-            return Duration::ZERO;
-        }
-        let idx = (self.latencies.len() - 1) * p as usize / 100;
-        self.latencies[idx]
-    }
-
-    /// Label used in report rows.
-    pub fn policy_label(&self) -> &'static str {
-        match self.policy {
-            CommitPathPolicy::Seed => "seed",
-            CommitPathPolicy::Fast => "fast-path",
-            CommitPathPolicy::Full => "full-2pc",
-        }
+        crate::percentile(&self.latencies, p)
     }
 
     /// The run as a serializable report row.
@@ -119,11 +148,11 @@ impl FastpathRun {
         let mut r = BenchReport {
             workload: "fastpath".into(),
             scenario: "bank-remote-audit".into(),
-            mode: self.policy_label().into(),
+            mode: "fast-path".into(),
             duration_ms: self.elapsed.as_secs_f64() * 1e3,
-            committed: self.committed,
+            committed: self.committed(),
             aborted: 0,
-            throughput_tps: self.committed as f64 / self.elapsed.as_secs_f64().max(1e-9),
+            throughput_tps: self.committed() as f64 / self.elapsed.as_secs_f64().max(1e-9),
             p50_ms: self.percentile(50).as_secs_f64() * 1e3,
             p95_ms: self.percentile(95).as_secs_f64() * 1e3,
             p99_ms: self.percentile(99).as_secs_f64() * 1e3,
@@ -156,11 +185,11 @@ fn settle(cluster: &Cluster) -> Result<(), String> {
 }
 
 /// Runs `rounds` of the deterministic 8:2 audit/transfer schedule on a
-/// fresh two-node cluster under `policy` and returns exact per-commit
-/// message and force accounting.
-pub fn run_policy(policy: CommitPathPolicy, rounds: u64, seed: u64) -> Result<FastpathRun, String> {
-    let fail = |m: String| format!("fastpath[{policy:?}] {m}");
-    let cluster = Cluster::with_config(ClusterConfig::default().commit_paths(policy));
+/// fresh two-node cluster and returns exact per-shape message and force
+/// accounting.
+pub fn run(rounds: u64, seed: u64) -> Result<FastpathRun, String> {
+    let fail = |m: String| format!("fastpath {m}");
+    let cluster = Cluster::new();
     let n1 = cluster.boot_node(NodeId(1));
     let n2 = cluster.boot_node(NodeId(2));
     let local_arr = IntArrayServer::spawn(&n1, "fp-local", ACCOUNTS)
@@ -207,38 +236,39 @@ pub fn run_policy(policy: CommitPathPolicy, rounds: u64, seed: u64) -> Result<Fa
     transfer(1, 0, 1).map_err(|e| fail(format!("warmup transfer undo: {e}")))?;
     settle(&cluster).map_err(&fail)?;
 
-    let perf_before = cluster.perf_all();
     let m1_before = cluster.metrics(NodeId(1)).snapshot();
     let m2_before = cluster.metrics(NodeId(2)).snapshot();
 
-    let start = Instant::now();
-    let mut committed = 0u64;
+    // Neither shape has a phase 2, so everything a commit costs has
+    // been counted by the time it returns: the read-only vote is sent
+    // before the coordinator can decide, and the 1PC force is the commit.
+    let mut audits = ShapeCost::default();
+    let mut transfers = ShapeCost::default();
     let mut latencies = Vec::new();
+    let start = Instant::now();
     for round in 0..rounds {
         let base = seed.wrapping_add(round);
         for i in 0..AUDITS_PER_ROUND {
             let from = (base.wrapping_mul(7).wrapping_add(i)) % ACCOUNTS;
             let to = (from + 1 + i % (ACCOUNTS - 1)) % ACCOUNTS;
+            let before = cluster.perf_all();
             let t0 = Instant::now();
             audit(from, to).map_err(|e| fail(format!("audit failed: {e}")))?;
             latencies.push(t0.elapsed());
-            committed += 1;
+            audits.add(&cluster.perf_all().since(&before));
         }
         for i in 0..WRITES_PER_ROUND {
             let from = (base.wrapping_add(3 * i)) % ACCOUNTS;
             let to = (from + 1) % ACCOUNTS;
+            let before = cluster.perf_all();
             let t0 = Instant::now();
             transfer(from, to, 1).map_err(|e| fail(format!("transfer failed: {e}")))?;
             latencies.push(t0.elapsed());
-            committed += 1;
+            transfers.add(&cluster.perf_all().since(&before));
         }
     }
     let elapsed = start.elapsed();
 
-    // Let participant-side commits and their acks finish before the
-    // after-snapshot, so every commit's full cost is attributed.
-    settle(&cluster).map_err(&fail)?;
-    let delta = cluster.perf_all().since(&perf_before);
     let m1 = cluster.metrics(NodeId(1)).snapshot();
     let m2 = cluster.metrics(NodeId(2)).snapshot();
     let one_pc = m1.counter("tm.commit.1pc") - m1_before.counter("tm.commit.1pc");
@@ -260,10 +290,8 @@ pub fn run_policy(policy: CommitPathPolicy, rounds: u64, seed: u64) -> Result<Fa
 
     latencies.sort();
     let run = FastpathRun {
-        policy,
-        committed,
-        datagrams: delta.get(PrimitiveOp::Datagram),
-        forces: delta.get(PrimitiveOp::StableStorageWrite),
+        audits,
+        transfers,
         elapsed,
         latencies,
         one_pc,
@@ -281,30 +309,34 @@ pub fn run_policy(policy: CommitPathPolicy, rounds: u64, seed: u64) -> Result<Fa
     Ok(run)
 }
 
-/// ASCII table over the policy runs.
-pub fn render(runs: &[FastpathRun]) -> String {
+/// ASCII table: each shape's measured cost beside its full-2PC price.
+pub fn render(run: &FastpathRun) -> String {
     let mut out = String::new();
     out.push_str("Commit fast paths (remote read-only audits + sole-writer transfers, 8:2)\n");
-    out.push_str("policy      commits   msgs/commit   forces/commit   1pc   ro-votes       p50\n");
-    out.push_str("--------------------------------------------------------------------------\n");
-    for r in runs {
+    out.push_str("per commit       commits   fast paths (msgs / forces)   full 2PC, priced\n");
+    out.push_str("------------------------------------------------------------------------\n");
+    for (shape, cost, full) in [
+        ("remote audit", run.audits, ShapeCost::FULL_2PC_AUDIT),
+        ("local transfer", run.transfers, ShapeCost::FULL_2PC_TRANSFER),
+    ] {
         out.push_str(&format!(
-            "{:<11} {:>7} {:>13.2} {:>15.2} {:>5} {:>10} {:>9}\n",
-            r.policy_label(),
-            r.committed,
-            r.messages_per_commit(),
-            r.forces_per_commit(),
-            r.one_pc,
-            r.readonly_votes,
-            format!("{:.1?}", r.percentile(50)),
+            "{shape:<16} {:>7} {:>28} {:>18}\n",
+            cost.commits,
+            cost.per_commit(),
+            full.per_commit(),
         ));
     }
+    out.push_str(&format!(
+        "\n1pc commits {}, read-only votes {}, p50 {:.1?}\n",
+        run.one_pc,
+        run.readonly_votes,
+        run.percentile(50)
+    ));
     out
 }
 
-/// The `tables fastpath` workload: the same deterministic schedule under
-/// the pessimistic full-2PC baseline and under the fast paths, gated on
-/// >= 2x fewer datagrams *and* forces per commit.
+/// The `tables fastpath` workload: the deterministic schedule, gated on
+/// the exact fast-path cost of every commit.
 pub struct FastpathWorkload;
 
 impl Workload for FastpathWorkload {
@@ -313,54 +345,41 @@ impl Workload for FastpathWorkload {
     }
 
     fn describe(&self) -> &'static str {
-        "commit fast paths: 1PC + read-only voter drop-out vs a full-2PC baseline"
+        "commit fast paths: 1PC + read-only voter drop-out, counted against the full-2PC price"
     }
 
     fn run(&self, opts: &RunOpts) -> Result<WorkloadOutput, String> {
         let rounds = if opts.quick { 3 } else { 10 };
-        let full = run_policy(CommitPathPolicy::Full, rounds, opts.seed)?;
-        let fast = run_policy(CommitPathPolicy::Fast, rounds, opts.seed)?;
-
-        let msg_ratio = full.messages_per_commit() / fast.messages_per_commit().max(1e-9);
-        let force_ratio = full.forces_per_commit() / fast.forces_per_commit().max(1e-9);
-
-        let mut out = WorkloadOutput::default();
-        let runs = [full, fast];
-        out.text = render(&runs);
-        out.text.push_str(&format!(
-            "\nfast paths vs full 2PC: {msg_ratio:.2}x fewer datagrams/commit, {force_ratio:.2}x \
-             fewer forces/commit (gate: >= 2x on both)\n"
-        ));
-
-        for r in &runs {
-            if r.committed == 0 {
-                out.gate_failure =
-                    Some(format!("fastpath {} committed no transactions", r.policy_label()));
-            }
-            if !r.invariant_ok {
-                out.gate_failure =
-                    Some(format!("fastpath {} violated balance conservation", r.policy_label()));
-            }
-            out.reports.push(r.to_report());
-        }
-        let [_, fast] = &runs;
-        if fast.one_pc == 0 {
-            out.gate_failure = Some("fastpath fast-path run never took the 1PC path".into());
-        }
-        if fast.readonly_votes == 0 {
-            out.gate_failure =
-                Some("fastpath fast-path run never recorded a read-only vote".into());
-        }
-        // Counts are deterministic, so the ratio gate applies to quick
-        // runs as well.
-        if out.gate_failure.is_none() && (msg_ratio < 2.0 || force_ratio < 2.0) {
-            out.gate_failure = Some(format!(
-                "fast paths saved only {msg_ratio:.2}x datagrams/commit and {force_ratio:.2}x \
-                 forces/commit (gate: >= 2x on both)"
-            ));
-        }
+        let run = run(rounds, opts.seed)?;
+        let mut out = WorkloadOutput { text: render(&run), ..WorkloadOutput::default() };
+        out.gate_failure = gate(&run);
+        out.reports.push(run.to_report());
         Ok(out)
     }
+}
+
+/// The acceptance gate: every audit cost 2 datagrams and no force, every
+/// transfer no datagram and 1 force, and the counters saw each shape.
+fn gate(run: &FastpathRun) -> Option<String> {
+    if !run.invariant_ok {
+        return Some("fastpath violated balance conservation".into());
+    }
+    if !run.audits.each_costs(ShapeCost::FAST_AUDIT)
+        || !run.transfers.each_costs(ShapeCost::FAST_TRANSFER)
+    {
+        return Some(format!(
+            "fast paths cost {:?} over the audits and {:?} over the transfers (gate: 2 datagrams \
+             / 0 forces per audit, 0 / 1 per transfer)",
+            run.audits, run.transfers
+        ));
+    }
+    if run.one_pc != run.transfers.commits || run.readonly_votes != run.audits.commits {
+        return Some(format!(
+            "fastpath counted {} 1PC commits for {} transfers and {} read-only votes for {} audits",
+            run.one_pc, run.transfers.commits, run.readonly_votes, run.audits.commits
+        ));
+    }
+    None
 }
 
 #[cfg(test)]
@@ -369,8 +388,9 @@ mod tests {
 
     #[test]
     fn fast_policy_hits_both_fast_paths_and_conserves_balances() {
-        let r = run_policy(CommitPathPolicy::Fast, 2, 7).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(r.committed, 2 * (AUDITS_PER_ROUND + WRITES_PER_ROUND));
+        let r = run(2, 7).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(r.audits.commits, 2 * AUDITS_PER_ROUND);
+        assert_eq!(r.transfers.commits, 2 * WRITES_PER_ROUND);
         assert!(r.invariant_ok, "balances must be conserved");
         assert_eq!(r.one_pc, 2 * WRITES_PER_ROUND, "every local transfer is a 1PC");
         assert_eq!(
@@ -378,23 +398,11 @@ mod tests {
             2 * AUDITS_PER_ROUND,
             "every audit draws a read-only vote on the participant"
         );
-        // Sole-writer commits send nothing; audits cost Prepare +
-        // VoteReadOnly and force nothing.
-        assert_eq!(r.datagrams, 2 * AUDITS_PER_ROUND * 2);
-        assert_eq!(r.forces, 2 * WRITES_PER_ROUND);
-    }
-
-    #[test]
-    fn full_policy_pays_both_phases_everywhere() {
-        let r = run_policy(CommitPathPolicy::Full, 1, 7).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(r.committed, AUDITS_PER_ROUND + WRITES_PER_ROUND);
-        assert!(r.invariant_ok);
-        assert_eq!(r.one_pc, 0);
-        assert_eq!(r.readonly_votes, 0);
-        // Audits: PrepareFull + VoteYes + Commit + CommitAck; transfers
-        // stay local. Forces: 3 per audit, 2 per sole-writer transfer.
-        assert_eq!(r.datagrams, AUDITS_PER_ROUND * 4);
-        assert_eq!(r.forces, AUDITS_PER_ROUND * 3 + WRITES_PER_ROUND * 2);
+        // Sole-writer commits send nothing and force once; audits cost
+        // Prepare + VoteReadOnly and force nothing.
+        assert_eq!((r.audits.datagrams, r.audits.forces), (2 * AUDITS_PER_ROUND * 2, 0));
+        assert_eq!((r.transfers.datagrams, r.transfers.forces), (0, 2 * WRITES_PER_ROUND));
+        assert_eq!(gate(&r), None);
     }
 
     #[test]
@@ -403,13 +411,41 @@ mod tests {
             .run(&RunOpts { quick: true, ..RunOpts::default() })
             .unwrap_or_else(|e| panic!("{e}"));
         assert!(out.gate_failure.is_none(), "gate failed: {:?}", out.gate_failure);
-        assert_eq!(out.reports.len(), 2);
-        assert_eq!(out.reports[0].mode, "full-2pc");
-        assert_eq!(out.reports[1].mode, "fast-path");
-        assert!(out.reports[0].messages_per_commit >= 2.0 * out.reports[1].messages_per_commit);
-        assert!(out.reports[0].forces_per_commit >= 2.0 * out.reports[1].forces_per_commit);
-        for r in &out.reports {
-            assert_eq!(r.config.get("invariant_ok").map(String::as_str), Some("true"));
-        }
+        let file = crate::report::BenchFile::new("2026-10-19", out.reports);
+        let parsed = crate::report::BenchFile::parse(&file.to_json()).expect("round trip");
+        assert_eq!(parsed.runs.len(), 1);
+        let row = &parsed.runs[0];
+        assert_eq!((row.workload.as_str(), row.mode.as_str()), ("fastpath", "fast-path"));
+        assert_eq!(row.committed, 3 * (AUDITS_PER_ROUND + WRITES_PER_ROUND));
+        assert_eq!(row.config.get("invariant_ok").map(String::as_str), Some("true"));
+    }
+
+    /// The gate separates the fast paths from the full-2PC price: a run
+    /// whose audits or transfers cost what full 2PC charges fails it.
+    #[test]
+    fn gate_rejects_full_two_phase_costs() {
+        let times = |per: ShapeCost, n: u64| ShapeCost {
+            commits: n,
+            datagrams: n * per.datagrams,
+            forces: n * per.forces,
+        };
+        let counted = |audits: ShapeCost, transfers: ShapeCost| FastpathRun {
+            audits,
+            transfers,
+            elapsed: Duration::from_secs(1),
+            latencies: Vec::new(),
+            one_pc: transfers.commits,
+            readonly_votes: audits.commits,
+            invariant_ok: true,
+            seed: 7,
+            rounds: 1,
+        };
+        let fast_audits = times(ShapeCost::FAST_AUDIT, 8);
+        let fast_transfers = times(ShapeCost::FAST_TRANSFER, 2);
+        assert_eq!(gate(&counted(fast_audits, fast_transfers)), None);
+        let full_audits = times(ShapeCost::FULL_2PC_AUDIT, 8);
+        assert!(gate(&counted(full_audits, fast_transfers)).is_some());
+        let full_transfers = times(ShapeCost::FULL_2PC_TRANSFER, 2);
+        assert!(gate(&counted(fast_audits, full_transfers)).is_some());
     }
 }

@@ -17,16 +17,11 @@
 //!
 //! - **bank** — transfers between random accounts of one integer array.
 //!   Unordered acquisition is deadlock-prone (the detector resolves
-//!   victims); ordered acquisition is deadlock-free pure contention, the
-//!   workload used for the lock-striping comparison. Every bank run
-//!   re-checks conservation of the total balance afterwards.
+//!   victims); ordered acquisition is deadlock-free pure contention. Every
+//!   bank run re-checks conservation of the total balance afterwards.
 //! - **mixed** — array, weak-queue and B-tree operations across two
 //!   nodes, so the datagram/session hot path carries a share of the
 //!   traffic.
-//!
-//! [`compare_stripes`] runs the contended bank scenario with the lock
-//! table collapsed to one stripe versus the default sharding — the
-//! before/after evidence for the striped lock table in `BENCH_*.json`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -95,7 +90,7 @@ pub enum Mode {
 ///     .closed(8, Duration::ZERO)
 ///     .duration(Duration::from_millis(500))
 ///     .seed(7);
-/// assert_eq!(profile.lock_stripes, 16);
+/// assert_eq!(profile.seed, 7);
 /// ```
 #[derive(Debug, Clone)]
 #[non_exhaustive]
@@ -108,8 +103,6 @@ pub struct LoadProfile {
     pub duration: Duration,
     /// Seed for the per-thread RNG streams.
     pub seed: u64,
-    /// Lock-table stripes per data server (1 = the unsharded seed path).
-    pub lock_stripes: usize,
     /// Batch commit-path log forces (amortizes the per-commit force so
     /// sustained concurrency is bounded by locking, not the log device).
     pub group_commit: bool,
@@ -122,8 +115,6 @@ impl LoadProfile {
             mode: Mode::Closed { clients: 8, think: Duration::ZERO },
             duration: Duration::from_secs(2),
             seed: 42,
-            // Matches the ClusterConfig default.
-            lock_stripes: 16,
             group_commit: false,
         }
     }
@@ -134,7 +125,7 @@ impl LoadProfile {
     }
 
     /// Deadlock-free (index-ordered) bank transfers — pure lock
-    /// contention, used for the striping comparison.
+    /// contention.
     pub fn bank_ordered(accounts: u64) -> Self {
         Self::base(Scenario::Bank { accounts, ordered: true, audit_pct: 0 })
     }
@@ -177,12 +168,6 @@ impl LoadProfile {
     /// RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Lock-table stripes (clamped to at least 1).
-    pub fn lock_stripes(mut self, stripes: usize) -> Self {
-        self.lock_stripes = stripes.max(1);
         self
     }
 
@@ -246,11 +231,7 @@ pub struct LoadResult {
 impl LoadResult {
     /// The `p`-th percentile (0–100) of transaction latency.
     pub fn percentile(&self, p: u32) -> Duration {
-        if self.latencies.is_empty() {
-            return Duration::ZERO;
-        }
-        let idx = (self.latencies.len() - 1) * p as usize / 100;
-        self.latencies[idx]
+        crate::percentile(&self.latencies, p)
     }
 
     /// Committed transactions per second.
@@ -278,7 +259,6 @@ impl LoadResult {
         };
         let cfg = &mut r.config;
         cfg.insert("seed".into(), self.profile.seed.to_string());
-        cfg.insert("lock_stripes".into(), self.profile.lock_stripes.to_string());
         cfg.insert("group_commit".into(), self.profile.group_commit.to_string());
         cfg.insert("invariant_ok".into(), self.invariant_ok.to_string());
         cfg.insert("rx_zero_copy".into(), self.zero_copy.to_string());
@@ -310,20 +290,19 @@ pub fn render(results: &[LoadResult]) -> String {
     let mut out = String::new();
     out.push_str("Sustained load\n");
     out.push_str(
-        "scenario       mode        stripes   tx/sec   p50 lat   p95 lat   commits   aborts  \
-         dlocks   msgs/c   forces/c\n",
+        "scenario       mode          tx/sec   p50 lat   p95 lat   commits   aborts  dlocks   \
+         msgs/c   forces/c\n",
     );
     out.push_str(
         "-------------------------------------------------------------------------------------\
-         --------------------\n",
+         ------------\n",
     );
     for r in results {
         let report = r.to_report();
         out.push_str(&format!(
-            "{:<14} {:<11} {:>7} {:>8.1} {:>9} {:>9} {:>9} {:>8} {:>7} {:>8.2} {:>10.2}\n",
+            "{:<14} {:<11} {:>8.1} {:>9} {:>9} {:>9} {:>8} {:>7} {:>8.2} {:>10.2}\n",
             report.scenario,
             report.mode,
-            r.profile.lock_stripes,
             report.throughput_tps,
             format!("{:.1?}", r.percentile(50)),
             format!("{:.1?}", r.percentile(95)),
@@ -363,8 +342,7 @@ impl World {
 }
 
 fn cluster_config(profile: &LoadProfile) -> ClusterConfig {
-    let mut config =
-        ClusterConfig::default().deadlock_detection(true).lock_stripes(profile.lock_stripes);
+    let mut config = ClusterConfig::default().deadlock_detection(true);
     if profile.group_commit {
         config = config
             .group_commit(GroupCommitConfig { max_delay: Duration::from_millis(2), max_batch: 64 });
@@ -666,55 +644,9 @@ pub fn run(profile: &LoadProfile) -> LoadResult {
     result
 }
 
-/// Folds several windows of the same profile into one result (summed
-/// counts, merged latencies, conjoined invariants).
-fn merge(windows: Vec<LoadResult>) -> LoadResult {
-    let mut windows = windows.into_iter();
-    let mut total = windows.next().expect("at least one window");
-    for w in windows {
-        total.committed += w.committed;
-        total.aborted += w.aborted;
-        total.deadlocks += w.deadlocks;
-        total.latencies.extend(w.latencies);
-        total.elapsed += w.elapsed;
-        total.datagrams += w.datagrams;
-        total.forces += w.forces;
-        total.zero_copy += w.zero_copy;
-        total.fallback += w.fallback;
-        total.lock_waits = WaitStats {
-            waits: total.lock_waits.waits + w.lock_waits.waits,
-            wakeups: total.lock_waits.wakeups + w.lock_waits.wakeups,
-            spurious: total.lock_waits.spurious + w.lock_waits.spurious,
-        };
-        total.invariant_ok &= w.invariant_ok;
-    }
-    total.latencies.sort();
-    total
-}
-
-/// The lock-striping comparison: the contended bank scenario (eight hot
-/// accounts, 32 closed-loop clients), the historical one-stripe table
-/// versus the sharded default. The two configurations run in
-/// *interleaved* windows — A, B, A, B, A, B — so slow drifts in machine
-/// load land on both sides instead of biasing one; each side's windows
-/// are then folded into a single result. Returns (one stripe, sharded).
-pub fn compare_stripes(duration: Duration, seed: u64) -> (LoadResult, LoadResult) {
-    const WINDOWS: u32 = 3;
-    let window = duration / WINDOWS;
-    let profile =
-        LoadProfile::bank_ordered(8).closed(32, Duration::ZERO).duration(window).seed(seed);
-    let mut ones = Vec::new();
-    let mut stripeds = Vec::new();
-    for i in 0..u64::from(WINDOWS) {
-        let p = profile.clone().seed(seed.wrapping_add(i));
-        ones.push(run(&p.clone().lock_stripes(1)));
-        stripeds.push(run(&p));
-    }
-    (merge(ones), merge(stripeds))
-}
-
-/// The `tables load` workload: the striping comparison plus an open-loop
-/// bank run and the mixed-server scenario.
+/// The `tables load` workload: the contended bank scenario (eight hot
+/// accounts, 32 closed-loop clients), an open-loop bank run and the
+/// mixed-server scenario.
 pub struct LoadWorkload;
 
 impl Workload for LoadWorkload {
@@ -723,15 +655,17 @@ impl Workload for LoadWorkload {
     }
 
     fn describe(&self) -> &'static str {
-        "sustained load: bank/mixed scenarios, open/closed loop, lock-striping comparison"
+        "sustained load: bank/mixed scenarios, open/closed loop"
     }
 
     fn run(&self, opts: &RunOpts) -> Result<WorkloadOutput, String> {
         let duration = if opts.quick { Duration::from_millis(400) } else { Duration::from_secs(4) };
         let mut out = WorkloadOutput::default();
 
-        let (one, striped) = compare_stripes(duration, opts.seed);
-        let ratio = striped.throughput() / one.throughput().max(1e-9);
+        let contended = run(&LoadProfile::bank_ordered(8)
+            .closed(32, Duration::ZERO)
+            .duration(duration)
+            .seed(opts.seed));
 
         let open_rate = if opts.quick { 100 } else { 300 };
         let open =
@@ -742,14 +676,12 @@ impl Workload for LoadWorkload {
             .duration(duration)
             .seed(opts.seed));
 
-        let results = [one, striped, open, mixed];
+        let results = [contended, open, mixed];
         out.text = render(&results);
+        let waits = results[0].lock_waits;
         out.text.push_str(&format!(
-            "\nlock striping: {ratio:.2}x committed throughput at 32 contended clients \
-             (1 stripe -> {} stripes); spurious wakeups {} -> {}\n",
-            results[1].profile.lock_stripes,
-            results[0].lock_waits.spurious,
-            results[1].lock_waits.spurious,
+            "\ncontended bank: {} lock waits, {} wakeups, {} spurious\n",
+            waits.waits, waits.wakeups, waits.spurious
         ));
 
         for r in &results {
@@ -768,13 +700,6 @@ impl Workload for LoadWorkload {
                 ));
             }
             out.reports.push(r.to_report());
-        }
-        // The perf gate needs a full-length window; quick mode is a
-        // liveness check only.
-        if !opts.quick && out.gate_failure.is_none() && ratio < 1.5 {
-            out.gate_failure = Some(format!(
-                "lock striping gained only {ratio:.2}x committed throughput (gate: >= 1.5x)"
-            ));
         }
         Ok(out)
     }
@@ -806,8 +731,7 @@ mod tests {
         let r = run(&LoadProfile::bank_ordered(4)
             .closed(8, Duration::ZERO)
             .duration(Duration::from_millis(300))
-            .seed(11)
-            .lock_stripes(1));
+            .seed(11));
         assert!(r.committed > 0);
         assert!(r.invariant_ok);
         assert_eq!(r.deadlocks, 0, "index-ordered acquisition cannot cycle");

@@ -135,10 +135,7 @@ impl PhaseResult {
 
     /// The `p`-th percentile (0–100) of committed-work latency.
     pub fn percentile(&self, p: u32) -> Duration {
-        if self.latencies.is_empty() {
-            return Duration::ZERO;
-        }
-        self.latencies[(self.latencies.len() - 1) * p as usize / 100]
+        crate::percentile(&self.latencies, p)
     }
 
     fn to_report(&self, admission_limit: usize, invariant_ok: bool) -> BenchReport {

@@ -18,7 +18,7 @@
 //!       "workload": "load",
 //!       "scenario": "bank-contended",
 //!       "mode": "closed/32",
-//!       "config": {"lock_stripes": "16", "accounts": "16"},
+//!       "config": {"accounts": "16", "group_commit": "false"},
 //!       "duration_ms": 4000.0,
 //!       "committed": 1234,
 //!       "aborted": 56,
@@ -49,7 +49,7 @@ pub struct BenchReport {
     /// Driver mode ("closed/32", "open/500", "baseline", …).
     pub mode: String,
     /// Free-form configuration knobs that distinguish this run
-    /// (lock_stripes, detect policy, …). Sorted for stable output.
+    /// (accounts, group commit, …). Sorted for stable output.
     pub config: BTreeMap<String, String>,
     /// Measured wall-clock window, milliseconds.
     pub duration_ms: f64,
@@ -550,7 +550,7 @@ mod tests {
 
     fn sample() -> BenchReport {
         let mut config = BTreeMap::new();
-        config.insert("lock_stripes".into(), "16".into());
+        config.insert("group_commit".into(), "false".into());
         config.insert("accounts".into(), "16".into());
         BenchReport {
             workload: "load".into(),
@@ -624,7 +624,7 @@ mod tests {
 
         // Same mode but a different config knob is a different run.
         let mut other = sample();
-        other.config.insert("lock_stripes".into(), "1".into());
+        other.config.insert("group_commit".into(), "true".into());
         let ok = BenchFile::new("2026-08-09", vec![sample(), other]);
         assert!(BenchFile::parse(&ok.to_json()).is_ok());
     }

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tabs_core::{Cluster, ClusterConfig, CommitPathPolicy, Node, NodeId, Tid};
+use tabs_core::{Cluster, Node, NodeId, Tid};
 use tabs_kernel::PrimitiveOp;
 use tabs_shard::{Partitioning, ShardClient, ShardMap, ShardServer};
 use tabs_wal::LatencyLogDevice;
@@ -68,11 +68,7 @@ impl ScaleRun {
 
     /// The `p`-th percentile (0–100) of transfer latency.
     pub fn percentile(&self, p: u32) -> Duration {
-        if self.latencies.is_empty() {
-            return Duration::ZERO;
-        }
-        let idx = (self.latencies.len() - 1) * p as usize / 100;
-        self.latencies[idx]
+        crate::percentile(&self.latencies, p)
     }
 
     /// The run as a serializable report row.
@@ -167,8 +163,7 @@ fn worker(
 pub fn run_nodes(nodes: u16, window: Duration, seed: u64) -> Result<ScaleRun, String> {
     let fail = |m: String| format!("scale[nodes={nodes}] {m}");
     let map = map_for(nodes);
-    let cluster =
-        Cluster::with_config(ClusterConfig::default().commit_paths(CommitPathPolicy::Fast));
+    let cluster = Cluster::new();
     for id in 1..=nodes {
         cluster.set_log_device(NodeId(id), LatencyLogDevice::new(LOG_CAP, FORCE_LATENCY));
     }

@@ -45,7 +45,7 @@ use tabs_lock::{DeadlockPolicy, LockError, LockManager, StdMode};
 use tabs_obs::{Counter, TraceCollector};
 use tabs_proto::{Deadline, RequestRef, ServerError};
 use tabs_rm::{OperationHandler, RecoveryManager};
-use tabs_tm::{CommitPathPolicy, Participant, TransactionManager};
+use tabs_tm::{Participant, TransactionManager};
 
 use tabs_codec::DecodeRef;
 
@@ -125,9 +125,6 @@ pub struct ServerConfig {
     pub lock_timeout: Duration,
     /// Deadlock policy; `Timeout` is the paper's, `Detect` the extension.
     pub deadlock_policy: DeadlockPolicy,
-    /// Number of lock-table stripes (hash partitions of the lock name
-    /// space, each with its own mutex and wait queue).
-    pub lock_stripes: usize,
     /// Admission limit: the maximum number of transactions this server
     /// will have in flight at once. A request that would *admit a new
     /// transaction* past the limit is shed with
@@ -149,7 +146,6 @@ impl ServerConfig {
             segment,
             lock_timeout: Duration::from_millis(300),
             deadlock_policy: DeadlockPolicy::Timeout,
-            lock_stripes: tabs_lock::DEFAULT_LOCK_STRIPES,
             admission_limit: None,
             retry_after_hint: Duration::from_millis(5),
         }
@@ -166,13 +162,6 @@ impl ServerConfig {
     /// the waits-for-graph extension).
     pub fn with_deadlock_policy(mut self, policy: DeadlockPolicy) -> Self {
         self.deadlock_policy = policy;
-        self
-    }
-
-    /// Overrides the lock-table stripe count (clamped to at least 1; 1
-    /// reproduces the original single-mutex lock table).
-    pub fn with_lock_stripes(mut self, stripes: usize) -> Self {
-        self.lock_stripes = stripes.max(1);
         self
     }
 
@@ -264,7 +253,7 @@ impl DataServer {
             name: config.name,
             rm: Arc::clone(&deps.rm),
             tm: Arc::clone(&deps.tm),
-            locks: LockManager::shared_with_stripes(config.deadlock_policy, config.lock_stripes),
+            locks: LockManager::shared(config.deadlock_policy),
             segment,
             seg_id: config.segment,
             lock_timeout: config.lock_timeout,
@@ -453,16 +442,7 @@ impl Participant for ServerParticipant {
             if !ctx.buffered.is_empty() {
                 return Err(format!("transaction {tid} has unlogged buffered objects"));
             }
-            let mut updates = ctx.updates;
-            if !updates && self.inner.tm.commit_paths() == CommitPathPolicy::Fast {
-                // Fast policy: the read-only voter drop-out additionally
-                // requires that nothing stronger than an S-lock is held
-                // here — the lock manager's classification, belt and
-                // braces over the updates flag (writes always take X
-                // locks, so the answer matches the seed path).
-                updates = !self.inner.locks.holds_only_shared(tid);
-            }
-            Ok(updates)
+            Ok(ctx.updates)
         } else {
             Ok(false)
         }

@@ -10,8 +10,8 @@
 use std::collections::BTreeSet;
 
 use tabs_chaos::{
-    registry, ChaosRunner, FASTPATH_POINTS, GROUP_COMMIT_POINTS, MIGRATION_POINTS,
-    REPLICATION_POINTS, SINGLE_NODE_POINTS,
+    registry, ChaosRunner, GROUP_COMMIT_POINTS, MIGRATION_POINTS, REPLICATION_POINTS,
+    SINGLE_NODE_POINTS, TWO_PC_POINTS,
 };
 
 /// Fixed sweep seed: sweeps are exhaustive over crash points, so the seed
@@ -39,16 +39,16 @@ fn crash_point_sweeps_cover_the_entire_registry() {
         );
     }
 
-    let fastpath = runner.sweep_fastpath().unwrap_or_else(|e| panic!("{e}"));
-    for &p in FASTPATH_POINTS {
+    // A sole-writer commit takes the 1PC branch and never reaches
+    // `tm.commit.logged`, so only a distributed commit can kill there.
+    let distributed = runner.sweep_distributed().unwrap_or_else(|e| panic!("{e}"));
+    for &p in TWO_PC_POINTS {
         assert!(
-            fastpath.contains(p),
-            "seed={SEED} crash_point={p} armed on the 1PC fast-path workload but never killed \
-             the node"
+            distributed.contains(p),
+            "seed={SEED} crash_point={p} armed on the distributed workload but never killed a \
+             node"
         );
     }
-
-    let distributed = runner.sweep_distributed().unwrap_or_else(|e| panic!("{e}"));
 
     let migration = runner.sweep_migration().unwrap_or_else(|e| panic!("{e}"));
     for &p in MIGRATION_POINTS {
@@ -73,7 +73,6 @@ fn crash_point_sweeps_cover_the_entire_registry() {
     // is a test failure, not a silent gap.
     let mut killed: BTreeSet<&str> = single.into_iter().collect();
     killed.extend(group);
-    killed.extend(fastpath);
     killed.extend(distributed);
     killed.extend(migration);
     killed.extend(replication);

@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 
 use tabs_chaos::{
-    registry, ChaosRunner, FaultPlan, FASTPATH_POINTS, GROUP_COMMIT_POINTS, MIGRATION_POINTS,
-    PAIRWISE_ARMS, REPLICATION_POINTS, SINGLE_NODE_POINTS, TWO_PC_POINTS,
+    registry, ChaosRunner, FaultPlan, GROUP_COMMIT_POINTS, MIGRATION_POINTS, PAIRWISE_ARMS,
+    REPLICATION_POINTS, SINGLE_NODE_POINTS, TWO_PC_POINTS,
 };
 
 /// Registry-completeness gate: every crash point registered anywhere in
@@ -20,7 +20,6 @@ fn every_registered_crash_point_has_a_sweep_entry() {
     let mut swept: Vec<&str> = Vec::new();
     swept.extend_from_slice(SINGLE_NODE_POINTS);
     swept.extend_from_slice(GROUP_COMMIT_POINTS);
-    swept.extend_from_slice(FASTPATH_POINTS);
     swept.extend_from_slice(TWO_PC_POINTS);
     swept.extend_from_slice(MIGRATION_POINTS);
     swept.extend_from_slice(REPLICATION_POINTS);

@@ -1,13 +1,10 @@
 //! Property tests for the commit fast paths: whatever schedule of
 //! transfers and audits a seed derives,
 //!
-//! 1. a sole-writer commit under [`CommitPathPolicy::Fast`] costs
-//!    exactly one log force and zero 2PC datagrams (the 1PC path),
+//! 1. a sole-writer commit costs exactly one log force and zero 2PC
+//!    datagrams (the 1PC path), and
 //! 2. a read-only participant's WAL is byte-for-byte untouched across
-//!    prepare (the read-only voter drop-out), and
-//! 3. the fast paths are observationally equivalent to the seed path:
-//!    the same schedule produces the same outcomes and final balances
-//!    with the policy on or off (the differential oracle).
+//!    prepare (the read-only voter drop-out).
 
 mod common;
 
@@ -33,8 +30,8 @@ struct Rig {
     _keep: Vec<Box<dyn std::any::Any>>,
 }
 
-fn rig(policy: CommitPathPolicy) -> Rig {
-    let cluster = Cluster::with_config(ClusterConfig::default().commit_paths(policy));
+fn rig() -> Rig {
+    let cluster = Cluster::new();
     let n1 = cluster.boot_node(NodeId(1));
     let n2 = cluster.boot_node(NodeId(2));
     let la = IntArrayServer::spawn(&n1, "pf-local", CELLS).expect("local array");
@@ -62,69 +59,20 @@ impl Rig {
     }
 }
 
-/// One schedule step: `kind` 0 = local transfer (sole-writer), 1 =
-/// remote transfer (distributed write), 2 = read-only audit.
-type Op = (u8, u64, u64, i64);
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..3, 0..CELLS, 0..CELLS, 1..5i64)
-}
-
-/// Runs a schedule under `policy` and returns every observable: the
-/// per-transaction outcomes and both arrays' final balances.
-fn run_schedule(policy: CommitPathPolicy, ops: &[Op]) -> (Vec<bool>, Vec<i64>, Vec<i64>) {
-    let r = rig(policy);
-    let app = r.n1.app();
-    let mut outcomes = Vec::new();
-    for &(kind, from, to, amount) in ops {
-        let res = app.run(|t| match kind {
-            0 => {
-                r.local.add(t, from, -amount)?;
-                r.local.add(t, to, amount)?;
-                Ok(())
-            }
-            1 => {
-                r.remote.add(t, from, -amount)?;
-                r.remote.add(t, to, amount)?;
-                Ok(())
-            }
-            _ => {
-                r.local.get(t, from)?;
-                r.remote.get(t, to)?;
-                Ok(())
-            }
-        });
-        outcomes.push(res.is_ok());
-    }
-    let (locals, remotes) = app
-        .run_with_retries(5, |t| {
-            let mut l = Vec::new();
-            let mut m = Vec::new();
-            for c in 0..CELLS {
-                l.push(r.local.get(t, c)?);
-                m.push(r.remote.get(t, c)?);
-            }
-            Ok((l, m))
-        })
-        .expect("final read");
-    r.shutdown();
-    (outcomes, locals, remotes)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 3,
         .. ProptestConfig::default()
     })]
 
-    /// Every sole-writer commit under `Fast` is a 1PC: exactly one log
-    /// force on the coordinator, nothing on the participant node, and
-    /// zero datagrams anywhere.
+    /// Every sole-writer commit is a 1PC: exactly one log force on the
+    /// coordinator, nothing on the participant node, and zero datagrams
+    /// anywhere.
     #[test]
     fn sole_writer_commit_is_one_force_and_zero_datagrams(
         transfers in proptest::collection::vec((0..CELLS, 0..CELLS, 1..5i64), 1..6)
     ) {
-        let r = rig(CommitPathPolicy::Fast);
+        let r = rig();
         let app = r.n1.app();
         for (from, to, amount) in transfers {
             let meter = AccountingMeter::start(&r.cluster, &[NodeId(1), NodeId(2)]);
@@ -150,7 +98,7 @@ proptest! {
     fn read_only_participant_wal_is_untouched(
         audits in proptest::collection::vec((0..CELLS, 0..CELLS), 1..8)
     ) {
-        let r = rig(CommitPathPolicy::Fast);
+        let r = rig();
         let app = r.n1.app();
         // The meter's start waits out the rig's seeding commit, whose
         // participant-side commit record is still landing on node 2.
@@ -173,17 +121,5 @@ proptest! {
         prop_assert_eq!(d.forces, 0, "read-only participant forced its log");
         prop_assert_eq!(d.counter("tm.prepare.readonly"), audits.len() as u64);
         r.shutdown();
-    }
-
-    /// Differential oracle: the fast paths change costs, never outcomes.
-    /// The same schedule under `Seed` and under `Fast` yields identical
-    /// per-transaction results and identical final balances.
-    #[test]
-    fn fast_paths_are_observationally_equivalent_to_seed(
-        ops in proptest::collection::vec(op_strategy(), 1..10)
-    ) {
-        let seed_run = run_schedule(CommitPathPolicy::Seed, &ops);
-        let fast_run = run_schedule(CommitPathPolicy::Fast, &ops);
-        prop_assert_eq!(seed_run, fast_run, "fast paths diverged from the seed path");
     }
 }

@@ -52,7 +52,7 @@ echo "==> chaos sweep (bounded): cargo test -q -p tabs-chaos --test chaos_sweep"
 if ! cargo test -q -p tabs-chaos --test chaos_sweep; then
     echo "chaos sweep failed: the assertion output above carries a" >&2
     echo "'seed=<N> crash_point=<name>' line; replay it exactly with" >&2
-    echo "  cargo run -p tabs-bench --bin tables -- chaos --seed <N>" >&2
+    echo "  cargo run -p tabs-perf --bin tables -- chaos --seed <N>" >&2
     exit 1
 fi
 
@@ -74,7 +74,7 @@ if ! cargo test -q -p tabs-chaos --test prop_group_commit; then
     echo "  ChaosRunner::new(seed).sweep_group_commit()" >&2
     exit 1
 fi
-cargo run -q -p tabs-bench --release --bin tables -- groupcommit --quick
+cargo run -q -p tabs-perf --release --bin tables -- groupcommit --quick
 
 echo "==> partition tolerance (bounded): convergence properties + resolution gate"
 if ! cargo test -q -p tabs-chaos --test prop_partition; then
@@ -83,7 +83,7 @@ if ! cargo test -q -p tabs-chaos --test prop_partition; then
     echo "  ChaosRunner::new(seed).partition_rejoin_scenario(...)" >&2
     exit 1
 fi
-cargo run -q -p tabs-bench --release --bin tables -- partition --quick
+cargo run -q -p tabs-perf --release --bin tables -- partition --quick
 
 echo "==> commit fast paths (bounded): count properties + exact-count gated run"
 if ! cargo test -q -p tabs-chaos --test prop_fastpath; then
@@ -92,21 +92,15 @@ if ! cargo test -q -p tabs-chaos --test prop_fastpath; then
     echo "audits whose forces, datagrams or counters were off" >&2
     exit 1
 fi
-cargo run -q -p tabs-bench --release --bin tables -- fastpath --quick
+cargo run -q -p tabs-perf --release --bin tables -- fastpath --quick
 
-echo "==> load generator (bounded): quick run + bench-file validation"
-cargo run -q -p tabs-bench --release --bin tables -- load --quick --json /tmp/bench.json
-cargo run -q -p tabs-bench --release --bin tables -- checkbench /tmp/bench.json
-
-echo "==> shard migration (bounded): kill-mid-migration sweep + scale-out gate"
+echo "==> shard migration (bounded): kill-mid-migration sweep"
 if ! cargo test -q -p tabs-chaos --test prop_migration migration_sweep_covers_every_point; then
     echo "migration chaos sweep failed: the assertion output above carries a" >&2
     echo "'seed=<N> crash_point=shard.migrate.<step>' line; replay it with" >&2
     echo "  ChaosRunner::new(seed).sweep_migration()" >&2
     exit 1
 fi
-cargo run -q -p tabs-bench --release --bin tables -- scale --quick --json /tmp/bench.json
-cargo run -q -p tabs-bench --release --bin tables -- checkbench /tmp/bench.json
 
 echo "==> replication (bounded): minority-kill sweep + degradation gate"
 if ! cargo test -q -p tabs-chaos --test prop_replication replication_sweep_covers_every_point; then
@@ -116,8 +110,7 @@ if ! cargo test -q -p tabs-chaos --test prop_replication replication_sweep_cover
     exit 1
 fi
 cargo test -q -p tabs-servers --test repdir_differential
-cargo run -q -p tabs-bench --release --bin tables -- replicate --quick --json /tmp/bench.json
-cargo run -q -p tabs-bench --release --bin tables -- checkbench /tmp/bench.json
+cargo run -q -p tabs-perf --release --bin tables -- replicate --quick
 
 echo "==> overload (bounded): deadline/shed properties + mid-spike-kill chaos + quick gated run"
 cargo test -q -p tabs-servers --test deadlines
@@ -127,8 +120,10 @@ if ! cargo test -q -p tabs-chaos --test prop_overload; then
     echo "  ChaosRunner::new(seed).overload_kill_scenario()" >&2
     exit 1
 fi
-cargo run -q -p tabs-bench --release --bin tables -- overload --quick --json /tmp/bench.json
-cargo run -q -p tabs-bench --release --bin tables -- checkbench /tmp/bench.json
+cargo run -q -p tabs-perf --release --bin tables -- overload --quick
+
+echo "==> ablations (bounded): each design-choice row gated on counts and outcomes"
+cargo run -q -p tabs-perf --release --bin tables -- ablations --quick
 
 echo "==> benchmark (bounded): fmt, clippy, unit tests, 2 s smoke run + result-file check"
 # benchmark/ is its own workspace (BENCHMARK.json); check.sh builds it

@@ -37,8 +37,6 @@ use tabs_kernel::PrimitiveOp;
 use tabs_servers::harness::client_for;
 use tabs_servers::{IntArrayClient, IntArrayServer};
 
-use crate::report::{BenchReport, RunOpts, Workload, WorkloadOutput};
-
 /// Accounts per array.
 const ACCOUNTS: u64 = 8;
 /// Starting balance of every account.
@@ -105,8 +103,6 @@ pub struct FastpathRun {
     pub audits: ShapeCost,
     /// Sole-writer local transfers.
     pub transfers: ShapeCost,
-    /// Wall clock over the measured window.
-    pub elapsed: Duration,
     /// Per-transaction latencies, sorted ascending.
     pub latencies: Vec<Duration>,
     /// `tm.commit.1pc` delta on the coordinator.
@@ -115,61 +111,12 @@ pub struct FastpathRun {
     pub readonly_votes: u64,
     /// Both arrays conserved their total balance after the run.
     pub invariant_ok: bool,
-    /// Schedule seed.
-    pub seed: u64,
-    /// Rounds of the 8:2 mix.
-    pub rounds: u64,
 }
 
 impl FastpathRun {
-    /// Transactions that committed (the whole schedule, or the run fails).
-    pub fn committed(&self) -> u64 {
-        self.audits.commits + self.transfers.commits
-    }
-
-    /// Datagrams per committed transaction.
-    pub fn messages_per_commit(&self) -> f64 {
-        (self.audits.datagrams + self.transfers.datagrams) as f64
-            / (self.committed() as f64).max(1.0)
-    }
-
-    /// Log forces per committed transaction.
-    pub fn forces_per_commit(&self) -> f64 {
-        (self.audits.forces + self.transfers.forces) as f64 / (self.committed() as f64).max(1.0)
-    }
-
     /// The `p`-th percentile (0–100) of transaction latency.
     pub fn percentile(&self, p: u32) -> Duration {
         crate::percentile(&self.latencies, p)
-    }
-
-    /// The run as a serializable report row.
-    pub fn to_report(&self) -> BenchReport {
-        let mut r = BenchReport {
-            workload: "fastpath".into(),
-            scenario: "bank-remote-audit".into(),
-            mode: "fast-path".into(),
-            duration_ms: self.elapsed.as_secs_f64() * 1e3,
-            committed: self.committed(),
-            aborted: 0,
-            throughput_tps: self.committed() as f64 / self.elapsed.as_secs_f64().max(1e-9),
-            p50_ms: self.percentile(50).as_secs_f64() * 1e3,
-            p95_ms: self.percentile(95).as_secs_f64() * 1e3,
-            p99_ms: self.percentile(99).as_secs_f64() * 1e3,
-            messages_per_commit: self.messages_per_commit(),
-            forces_per_commit: self.forces_per_commit(),
-            deadlocks_resolved: 0,
-            ..BenchReport::default()
-        };
-        let cfg = &mut r.config;
-        cfg.insert("seed".into(), self.seed.to_string());
-        cfg.insert("rounds".into(), self.rounds.to_string());
-        cfg.insert("audits_per_round".into(), AUDITS_PER_ROUND.to_string());
-        cfg.insert("writes_per_round".into(), WRITES_PER_ROUND.to_string());
-        cfg.insert("one_pc_commits".into(), self.one_pc.to_string());
-        cfg.insert("readonly_votes".into(), self.readonly_votes.to_string());
-        cfg.insert("invariant_ok".into(), self.invariant_ok.to_string());
-        r
     }
 }
 
@@ -245,7 +192,6 @@ pub fn run(rounds: u64, seed: u64) -> Result<FastpathRun, String> {
     let mut audits = ShapeCost::default();
     let mut transfers = ShapeCost::default();
     let mut latencies = Vec::new();
-    let start = Instant::now();
     for round in 0..rounds {
         let base = seed.wrapping_add(round);
         for i in 0..AUDITS_PER_ROUND {
@@ -267,7 +213,6 @@ pub fn run(rounds: u64, seed: u64) -> Result<FastpathRun, String> {
             transfers.add(&cluster.perf_all().since(&before));
         }
     }
-    let elapsed = start.elapsed();
 
     let m1 = cluster.metrics(NodeId(1)).snapshot();
     let m2 = cluster.metrics(NodeId(2)).snapshot();
@@ -292,13 +237,10 @@ pub fn run(rounds: u64, seed: u64) -> Result<FastpathRun, String> {
     let run = FastpathRun {
         audits,
         transfers,
-        elapsed,
         latencies,
         one_pc,
         readonly_votes,
         invariant_ok: sums == (total, total),
-        seed,
-        rounds,
     };
     drop(local);
     drop(remote);
@@ -335,32 +277,9 @@ pub fn render(run: &FastpathRun) -> String {
     out
 }
 
-/// The `tables fastpath` workload: the deterministic schedule, gated on
-/// the exact fast-path cost of every commit.
-pub struct FastpathWorkload;
-
-impl Workload for FastpathWorkload {
-    fn name(&self) -> &'static str {
-        "fastpath"
-    }
-
-    fn describe(&self) -> &'static str {
-        "commit fast paths: 1PC + read-only voter drop-out, counted against the full-2PC price"
-    }
-
-    fn run(&self, opts: &RunOpts) -> Result<WorkloadOutput, String> {
-        let rounds = if opts.quick { 3 } else { 10 };
-        let run = run(rounds, opts.seed)?;
-        let mut out = WorkloadOutput { text: render(&run), ..WorkloadOutput::default() };
-        out.gate_failure = gate(&run);
-        out.reports.push(run.to_report());
-        Ok(out)
-    }
-}
-
 /// The acceptance gate: every audit cost 2 datagrams and no force, every
 /// transfer no datagram and 1 force, and the counters saw each shape.
-fn gate(run: &FastpathRun) -> Option<String> {
+pub fn gate(run: &FastpathRun) -> Option<String> {
     if !run.invariant_ok {
         return Some("fastpath violated balance conservation".into());
     }
@@ -405,21 +324,6 @@ mod tests {
         assert_eq!(gate(&r), None);
     }
 
-    #[test]
-    fn workload_report_rows_round_trip_and_pass_the_gate() {
-        let out = FastpathWorkload
-            .run(&RunOpts { quick: true, ..RunOpts::default() })
-            .unwrap_or_else(|e| panic!("{e}"));
-        assert!(out.gate_failure.is_none(), "gate failed: {:?}", out.gate_failure);
-        let file = crate::report::BenchFile::new("2026-10-19", out.reports);
-        let parsed = crate::report::BenchFile::parse(&file.to_json()).expect("round trip");
-        assert_eq!(parsed.runs.len(), 1);
-        let row = &parsed.runs[0];
-        assert_eq!((row.workload.as_str(), row.mode.as_str()), ("fastpath", "fast-path"));
-        assert_eq!(row.committed, 3 * (AUDITS_PER_ROUND + WRITES_PER_ROUND));
-        assert_eq!(row.config.get("invariant_ok").map(String::as_str), Some("true"));
-    }
-
     /// The gate separates the fast paths from the full-2PC price: a run
     /// whose audits or transfers cost what full 2PC charges fails it.
     #[test]
@@ -432,13 +336,10 @@ mod tests {
         let counted = |audits: ShapeCost, transfers: ShapeCost| FastpathRun {
             audits,
             transfers,
-            elapsed: Duration::from_secs(1),
             latencies: Vec::new(),
             one_pc: transfers.commits,
             readonly_votes: audits.commits,
             invariant_ok: true,
-            seed: 7,
-            rounds: 1,
         };
         let fast_audits = times(ShapeCost::FAST_AUDIT, 8);
         let fast_transfers = times(ShapeCost::FAST_TRANSFER, 2);

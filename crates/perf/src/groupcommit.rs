@@ -19,8 +19,6 @@ use tabs_core::{Cluster, ClusterConfig, GroupCommitConfig, NodeId, Tid};
 use tabs_kernel::PrimitiveOp;
 use tabs_servers::{IntArrayClient, IntArrayServer};
 
-use crate::report::{BenchReport, RunOpts, Workload, WorkloadOutput};
-
 /// One mode's measurements over a full run.
 #[derive(Debug, Clone)]
 pub struct GroupCommitResult {
@@ -54,71 +52,13 @@ impl GroupCommitResult {
         self.batched_commits as f64 / (self.batches as f64).max(1.0)
     }
 
-    /// Mode label for tables and reports.
+    /// Mode label for the table.
     pub fn mode(&self) -> &'static str {
         if self.enabled {
             "group-commit"
         } else {
             "unbatched"
         }
-    }
-
-    /// The run as a serializable report row.
-    pub fn to_report(&self) -> BenchReport {
-        let mut r = BenchReport {
-            workload: "groupcommit".into(),
-            scenario: "one-cell-commits".into(),
-            mode: self.mode().into(),
-            duration_ms: self.elapsed.as_secs_f64() * 1e3,
-            committed: self.commits,
-            aborted: self.aborts,
-            throughput_tps: self.commits as f64 / self.elapsed.as_secs_f64().max(1e-9),
-            forces_per_commit: self.forces_per_commit(),
-            ..BenchReport::default()
-        };
-        r.config.insert("committers".into(), self.committers.to_string());
-        r.config.insert("batches".into(), self.batches.to_string());
-        r.config.insert("batched_commits".into(), self.batched_commits.to_string());
-        r.config.insert("mean_batch".into(), format!("{:.2}", self.mean_batch()));
-        r
-    }
-}
-
-/// The `tables groupcommit` workload: batched versus unbatched forces,
-/// with the amortization gate (forces/commit < 0.5 and ≥ 4× reduction).
-pub struct GroupCommitWorkload;
-
-impl Workload for GroupCommitWorkload {
-    fn name(&self) -> &'static str {
-        "groupcommit"
-    }
-
-    fn describe(&self) -> &'static str {
-        "commit-path log forces: group commit vs one-force-per-commit"
-    }
-
-    fn run(&self, opts: &RunOpts) -> Result<WorkloadOutput, String> {
-        const COMMITTERS: u32 = 8;
-        let rounds = if opts.quick { 5 } else { opts.iters.unwrap_or(40) };
-        let (unbatched, batched) = compare(COMMITTERS, rounds);
-        let ratio = unbatched.forces_per_commit() / batched.forces_per_commit().max(1e-9);
-        let mut text = render(&[unbatched.clone(), batched.clone()]);
-        text.push_str(&format!("force reduction: {ratio:.1}x\n"));
-        let gate_failure = if batched.forces_per_commit() >= 0.5 {
-            Some(format!(
-                "batched mode paid {:.3} forces/commit (gate: < 0.5)",
-                batched.forces_per_commit()
-            ))
-        } else if ratio < 4.0 {
-            Some(format!("only {ratio:.1}x force reduction (gate: >= 4x)"))
-        } else {
-            None
-        };
-        Ok(WorkloadOutput {
-            text,
-            reports: vec![unbatched.to_report(), batched.to_report()],
-            gate_failure,
-        })
     }
 }
 
@@ -211,7 +151,29 @@ pub fn compare(committers: u32, rounds: u32) -> (GroupCommitResult, GroupCommitR
     (unbatched, batched)
 }
 
-/// ASCII table over any set of group-commit results.
+/// The amortization gate over one `compare` run: the batched mode pays
+/// under half a force per commit, and at least 4× fewer than unbatched.
+pub fn gate(unbatched: &GroupCommitResult, batched: &GroupCommitResult) -> Option<String> {
+    let ratio = reduction(unbatched, batched);
+    if batched.forces_per_commit() >= 0.5 {
+        Some(format!(
+            "batched mode paid {:.3} forces/commit (gate: < 0.5)",
+            batched.forces_per_commit()
+        ))
+    } else if ratio < 4.0 {
+        Some(format!("only {ratio:.1}x force reduction (gate: >= 4x)"))
+    } else {
+        None
+    }
+}
+
+/// How many times fewer forces per commit the batched mode paid.
+fn reduction(unbatched: &GroupCommitResult, batched: &GroupCommitResult) -> f64 {
+    unbatched.forces_per_commit() / batched.forces_per_commit().max(1e-9)
+}
+
+/// ASCII table over any set of group-commit results; an (unbatched,
+/// batched) pair also gets its force reduction.
 pub fn render(results: &[GroupCommitResult]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -235,6 +197,9 @@ pub fn render(results: &[GroupCommitResult]) -> String {
             r.mean_batch(),
             format!("{:.0?}", r.elapsed),
         ));
+    }
+    if let [unbatched, batched] = results {
+        out.push_str(&format!("force reduction: {:.1}x\n", reduction(unbatched, batched)));
     }
     out
 }

@@ -16,17 +16,12 @@
 //!   against a live three-node cluster with instrumented counters, split
 //!   into pre-commit and commit phases exactly as Tables 5-2 and 5-3
 //!   split them.
-//! - [`contention`] — the deadlock-resolution microbenchmark comparing
-//!   the paper's time-out policy against the probe-based detector
-//!   (p50/p95 resolution latency, victims per second).
 //! - [`groupcommit`] — the group-commit microbenchmark: stable-storage
 //!   forces per committed transaction, batched versus the seed
 //!   one-force-per-commit path.
 //! - [`partition`] — the partition-recovery microbenchmark: in-doubt
 //!   resolution latency after a coordinator crash, cooperative
 //!   termination versus the retransmit-timeout-only baseline.
-//! - [`mod@load`] — the sustained load generator: open- and closed-loop
-//!   drivers over the bank and mixed-server scenarios.
 //! - [`fastpath`] — the commit fast paths (1PC, read-only voter
 //!   drop-out), counted exactly per transaction shape beside the full
 //!   two-phase-commit price of the same shapes.
@@ -38,41 +33,35 @@
 //!   "Improved TABS Architecture" and "New Primitive Times" projections,
 //!   and the §5.2/§7 latency-accounting compositions.
 //! - [`paper`] — the published numbers, for side-by-side comparison.
-//! - [`report`] — the [`Workload`] trait unifying every bench
-//!   entrypoint, the serializable [`BenchReport`] rows they emit, and the
-//!   versioned `BENCH_*.json` format.
 //! - [`tables`] — ASCII renderers regenerating every table.
+//! - [`ablations`] — the design choices DESIGN.md §4 calls out, each
+//!   checked on counts and outcomes: value vs operation logging,
+//!   time-out vs detection, recovery scan vs log length, type-specific
+//!   locking.
+//!
+//! The `tables` binary (`src/bin/tables.rs`) runs each of them and exits 1
+//! when a workload's gate fails.
 
+pub mod ablations;
 pub mod bench;
-pub mod contention;
 pub mod cost;
 pub mod fastpath;
 pub mod groupcommit;
-pub mod load;
 pub mod model;
 pub mod overload;
 pub mod paper;
 pub mod partition;
 pub mod replicate;
-pub mod report;
-pub mod scale;
 pub mod tables;
 
 pub use bench::{benchmarks, run_all, BenchResult, BenchWorld, Benchmark, CommitClass};
-pub use contention::{ContentionResult, ContentionWorkload};
 pub use cost::{CostTable, ACHIEVABLE, PERQ_T2};
-pub use fastpath::{FastpathRun, FastpathWorkload};
-pub use groupcommit::{GroupCommitResult, GroupCommitWorkload};
-pub use load::{LoadProfile, LoadResult, LoadWorkload};
+pub use fastpath::FastpathRun;
+pub use groupcommit::GroupCommitResult;
 pub use model::{improved_counts, predicted_ms, Projection};
-pub use overload::{OverloadRun, OverloadWorkload};
-pub use paper::PaperWorkload;
-pub use partition::{PartitionResult, PartitionWorkload};
-pub use replicate::{ReplicateResult, ReplicateWorkload};
-pub use report::{
-    registry, BenchFile, BenchReport, Json, RunOpts, Workload, WorkloadOutput, BENCH_SCHEMA_VERSION,
-};
-pub use scale::{ScaleRun, ScaleWorkload};
+pub use overload::OverloadRun;
+pub use partition::PartitionResult;
+pub use replicate::ReplicateResult;
 
 use std::time::Duration;
 

@@ -43,8 +43,6 @@ use tabs_core::{Cluster, ClusterConfig, DeadlinePolicy, Node, NodeId, Tid};
 use tabs_proto::ServerError;
 use tabs_servers::{IntArrayClient, IntArrayServer};
 
-use crate::report::{BenchReport, RunOpts, Workload, WorkloadOutput};
-
 /// Bank accounts (index-ordered transfers: contention without deadlock
 /// noise, so aborts during the spike are attributable to the defenses).
 const ACCOUNTS: u64 = 64;
@@ -137,33 +135,6 @@ impl PhaseResult {
     pub fn percentile(&self, p: u32) -> Duration {
         crate::percentile(&self.latencies, p)
     }
-
-    fn to_report(&self, admission_limit: usize, invariant_ok: bool) -> BenchReport {
-        let mut r = BenchReport {
-            workload: "overload".into(),
-            scenario: self.phase.into(),
-            mode: self.mode.clone(),
-            duration_ms: self.elapsed.as_secs_f64() * 1e3,
-            committed: self.committed,
-            aborted: self.shed + self.expired + self.aborted,
-            throughput_tps: self.goodput(),
-            p50_ms: self.percentile(50).as_secs_f64() * 1e3,
-            p95_ms: self.percentile(95).as_secs_f64() * 1e3,
-            p99_ms: self.percentile(99).as_secs_f64() * 1e3,
-            ..BenchReport::default()
-        };
-        let cfg = &mut r.config;
-        cfg.insert("accounts".into(), ACCOUNTS.to_string());
-        cfg.insert("admission_limit".into(), admission_limit.to_string());
-        cfg.insert("budget_ms".into(), BUDGET.as_millis().to_string());
-        cfg.insert("shed".into(), self.shed.to_string());
-        cfg.insert("expired".into(), self.expired.to_string());
-        cfg.insert("invariant_ok".into(), invariant_ok.to_string());
-        if self.offered_tps > 0 {
-            cfg.insert("offered_tps".into(), self.offered_tps.to_string());
-        }
-        r
-    }
 }
 
 /// A complete three-phase overload run.
@@ -179,20 +150,8 @@ pub struct OverloadRun {
     pub shed_counter: u64,
     /// `deadline.expired` counted by the node over the whole run.
     pub expired_counter: u64,
-    /// Admission limit the run used.
-    pub admission_limit: usize,
     /// Bank balance conserved after all three phases.
     pub invariant_ok: bool,
-}
-
-impl OverloadRun {
-    /// Report rows for the bench file, one per phase.
-    pub fn reports(&self) -> Vec<BenchReport> {
-        [&self.saturate, &self.spike, &self.recover]
-            .into_iter()
-            .map(|p| p.to_report(self.admission_limit, self.invariant_ok))
-            .collect()
-    }
 }
 
 struct World {
@@ -445,8 +404,7 @@ fn drive_open(
 
 /// Runs the three-phase overload scenario on one cluster.
 pub fn run(phase_duration: Duration, seed: u64) -> OverloadRun {
-    let admission_limit = CLIENTS as usize;
-    let world = boot(admission_limit);
+    let world = boot(CLIENTS as usize);
     let metrics_before = world.cluster.metrics(NodeId(1)).snapshot();
 
     let saturate = drive_closed(&world, phase_duration, seed);
@@ -477,15 +435,7 @@ pub fn run(phase_duration: Duration, seed: u64) -> OverloadRun {
     for n in world.nodes {
         n.shutdown();
     }
-    OverloadRun {
-        saturate,
-        spike,
-        recover,
-        shed_counter,
-        expired_counter,
-        admission_limit,
-        invariant_ok,
-    }
+    OverloadRun { saturate, spike, recover, shed_counter, expired_counter, invariant_ok }
 }
 
 /// ASCII table over the three phases.
@@ -523,45 +473,30 @@ pub fn render(run: &OverloadRun) -> String {
     out
 }
 
-/// The `tables overload` workload: the three-phase scenario gated on the
-/// metastability oracle.
-pub struct OverloadWorkload;
-
-impl Workload for OverloadWorkload {
-    fn name(&self) -> &'static str {
-        "overload"
-    }
-
-    fn describe(&self) -> &'static str {
-        "3x-capacity spike vs admission control + deadlines, metastability oracle"
-    }
-
-    fn run(&self, opts: &RunOpts) -> Result<WorkloadOutput, String> {
-        let phase = if opts.quick { Duration::from_millis(400) } else { Duration::from_secs(2) };
-        let attempts = if opts.quick { 1 } else { ORACLE_ATTEMPTS };
-
-        let mut result = run(phase, opts.seed);
-        let mut failure = liveness_failure(&result).or_else(|| {
-            if opts.quick {
-                None
-            } else {
-                oracle_failure(&result)
-            }
-        });
-        let mut tried = 1;
+/// Runs the scenario for `tables overload` and returns the run its gate
+/// was evaluated on, with the verdict. A quick run (400 ms phases) checks
+/// liveness only; a full-length run (2 s phases) also evaluates the
+/// metastability oracle, and a run failing only that timing oracle is
+/// retried on a fresh cluster, up to three runs in all.
+pub fn run_gated(quick: bool, seed: u64) -> (OverloadRun, Option<String>) {
+    let phase = if quick { Duration::from_millis(400) } else { Duration::from_secs(2) };
+    let attempts = if quick { 1 } else { ORACLE_ATTEMPTS };
+    let mut tried = 0;
+    loop {
+        let run = run(phase, seed.wrapping_add(tried << 8));
+        tried += 1;
         // Only the timing oracle retries; a liveness or conservation
         // failure is a bug, not host noise, and fails immediately.
-        while failure.is_some() && tried < attempts && liveness_failure(&result).is_none() {
-            result = run(phase, opts.seed.wrapping_add(tried << 8));
-            failure = liveness_failure(&result).or_else(|| oracle_failure(&result));
-            tried += 1;
+        if let Some(failure) = liveness_failure(&run) {
+            return (run, Some(failure));
         }
-
-        let mut text = render(&result);
-        if tried > 1 {
-            text.push_str(&format!("(oracle evaluated over attempt {tried}/{attempts})\n"));
+        let failure = if quick { None } else { oracle_failure(&run) };
+        match failure {
+            Some(f) if tried < attempts => {
+                eprintln!("overload: attempt {tried}/{attempts} failed, retrying: {f}");
+            }
+            _ => return (run, failure),
         }
-        Ok(WorkloadOutput { text, reports: result.reports(), gate_failure: failure })
     }
 }
 
@@ -632,22 +567,5 @@ mod tests {
             r.spike.shed + r.spike.expired > 0,
             "a 3x spike must turn some arrivals away (shed give-ups or client-side expiry)"
         );
-    }
-
-    #[test]
-    fn reports_carry_the_oracle_inputs() {
-        let r = run(Duration::from_millis(200), 11);
-        let rows = r.reports();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].scenario, "saturate");
-        assert_eq!(rows[1].scenario, "spike");
-        assert_eq!(rows[2].scenario, "recover");
-        for row in &rows {
-            assert_eq!(row.workload, "overload");
-            assert_eq!(row.config.get("budget_ms").map(String::as_str), Some("250"));
-            assert!(row.config.contains_key("shed"));
-            assert!(row.config.contains_key("invariant_ok"));
-        }
-        assert!(rows[1].config.contains_key("offered_tps"), "open-loop rows record offered rate");
     }
 }

@@ -7,8 +7,6 @@
 //! on *our measured* counts either way — the paper columns are reference
 //! only).
 
-use crate::report::{BenchReport, RunOpts, Workload, WorkloadOutput};
-
 /// One Table 5-4 row of published times (milliseconds).
 #[derive(Debug, Clone, Copy)]
 pub struct PaperTimes {
@@ -249,62 +247,6 @@ pub const TABLE_5_3: [PaperCommitCounts; 6] = [
         counts: [Some(5.0), Some(17.0), Some(5.0), None, Some(1.0)],
     },
 ];
-
-/// The default `tables` workload: the fourteen Table 5-4 benchmarks
-/// measured against a live three-node cluster, rendered as the full §5
-/// report with the published numbers alongside.
-pub struct PaperWorkload;
-
-impl Workload for PaperWorkload {
-    fn name(&self) -> &'static str {
-        "paper"
-    }
-
-    fn describe(&self) -> &'static str {
-        "the fourteen Table 5-4 benchmarks, measured; regenerates every section 5 table"
-    }
-
-    fn run(&self, opts: &RunOpts) -> Result<WorkloadOutput, String> {
-        let warmup = opts.warmup.unwrap_or(if opts.quick { 2 } else { 8 });
-        let iters = opts.iters.unwrap_or(if opts.quick { 3 } else { 40 });
-        let results = crate::bench::run_all(warmup, iters);
-        Ok(WorkloadOutput {
-            text: crate::tables::full_report(&results),
-            reports: reports(&results),
-            gate_failure: None,
-        })
-    }
-}
-
-/// Measured benchmark results as serializable report rows (one per
-/// Table 5-4 benchmark).
-pub fn reports(results: &[crate::bench::BenchResult]) -> Vec<BenchReport> {
-    results
-        .iter()
-        .map(|r| {
-            let ms = r.elapsed_us / 1e3;
-            let counts = r.total_counts();
-            let mut row = BenchReport {
-                workload: "paper".into(),
-                scenario: r.name.into(),
-                mode: "measured".into(),
-                duration_ms: ms * f64::from(r.iters),
-                committed: u64::from(r.iters),
-                throughput_tps: if ms > 0.0 { 1e3 / ms } else { 0.0 },
-                // Only the mean per-transaction time is measured.
-                p50_ms: ms,
-                p95_ms: ms,
-                p99_ms: ms,
-                messages_per_commit: counts[tabs_kernel::PrimitiveOp::Datagram as usize],
-                forces_per_commit: counts[tabs_kernel::PrimitiveOp::StableStorageWrite as usize],
-                ..BenchReport::default()
-            };
-            row.config.insert("latency_kind".into(), "mean".into());
-            row.config.insert("commit_class".into(), r.commit_class.label().into());
-            row
-        })
-        .collect()
-}
 
 #[cfg(test)]
 mod tests {

@@ -20,8 +20,6 @@ use std::time::Duration;
 
 use tabs_chaos::ChaosRunner;
 
-use crate::report::{BenchReport, RunOpts, Workload, WorkloadOutput};
-
 /// One mode's measurements over repeated partition/rejoin scenarios.
 #[derive(Debug, Clone)]
 pub struct PartitionResult {
@@ -54,66 +52,13 @@ impl PartitionResult {
         self.percentile(100)
     }
 
-    /// Mode label for tables and reports.
+    /// Mode label for the table.
     pub fn mode(&self) -> &'static str {
         if self.cooperative {
             "cooperative"
         } else {
             "retransmit-timeout"
         }
-    }
-
-    /// The run as a serializable report row. The latency percentiles are
-    /// *in-doubt resolution* latencies — `config.latency_kind` records
-    /// that. `committed` counts the survivor's local commits inside the
-    /// in-doubt windows (liveness evidence).
-    pub fn to_report(&self) -> BenchReport {
-        let total: Duration = self.resolutions.iter().sum();
-        let mut r = BenchReport {
-            workload: "partition".into(),
-            scenario: "coordinator-crash".into(),
-            mode: self.mode().into(),
-            duration_ms: total.as_secs_f64() * 1e3,
-            committed: self.survivor_commits,
-            p50_ms: self.p50().as_secs_f64() * 1e3,
-            p95_ms: self.percentile(95).as_secs_f64() * 1e3,
-            p99_ms: self.percentile(99).as_secs_f64() * 1e3,
-            ..BenchReport::default()
-        };
-        r.config.insert("latency_kind".into(), "in-doubt-resolution".into());
-        r.config.insert("iters".into(), self.resolutions.len().to_string());
-        r
-    }
-}
-
-/// The `tables partition` workload: cooperative termination versus the
-/// retransmit-timeout baseline, with the p50 < 25% acceptance gate.
-pub struct PartitionWorkload;
-
-impl Workload for PartitionWorkload {
-    fn name(&self) -> &'static str {
-        "partition"
-    }
-
-    fn describe(&self) -> &'static str {
-        "in-doubt resolution after a coordinator crash: cooperative vs retransmit-timeout"
-    }
-
-    fn run(&self, opts: &RunOpts) -> Result<WorkloadOutput, String> {
-        let iters = opts.iters.unwrap_or(if opts.quick { 2 } else { 5 });
-        let (baseline, coop) = compare(iters, opts.seed)?;
-        let gate_failure = (coop.p50() * 4 >= baseline.p50()).then(|| {
-            format!(
-                "cooperative p50 {:?} is not under 25% of the baseline's {:?}",
-                coop.p50(),
-                baseline.p50()
-            )
-        });
-        Ok(WorkloadOutput {
-            text: render(&[baseline.clone(), coop.clone()]),
-            reports: vec![baseline.to_report(), coop.to_report()],
-            gate_failure,
-        })
     }
 }
 
@@ -137,6 +82,18 @@ pub fn compare(iters: u32, seed: u64) -> Result<(PartitionResult, PartitionResul
     let baseline = run(false, iters, seed)?;
     let cooperative = run(true, iters, seed)?;
     Ok((baseline, cooperative))
+}
+
+/// The acceptance gate: the cooperative p50 is under 25% of the
+/// retransmit-timeout baseline's.
+pub fn gate(baseline: &PartitionResult, coop: &PartitionResult) -> Option<String> {
+    (coop.p50() * 4 >= baseline.p50()).then(|| {
+        format!(
+            "cooperative p50 {:?} is not under 25% of the baseline's {:?}",
+            coop.p50(),
+            baseline.p50()
+        )
+    })
 }
 
 /// ASCII table over any set of partition results.

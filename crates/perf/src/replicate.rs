@@ -20,8 +20,6 @@ use std::time::Duration;
 
 use tabs_chaos::{ChaosRunner, ReplicationLatency};
 
-use crate::report::{BenchReport, RunOpts, Workload, WorkloadOutput};
-
 /// One mode's measurements over the replicated shard.
 #[derive(Debug, Clone)]
 pub struct ReplicateResult {
@@ -44,66 +42,13 @@ impl ReplicateResult {
         self.percentile(50)
     }
 
-    /// Mode label for tables and reports.
+    /// Mode label for the table.
     pub fn mode(&self) -> &'static str {
         if self.killed {
             "replica-killed"
         } else {
             "healthy"
         }
-    }
-
-    /// The run as a serializable report row.
-    pub fn to_report(&self) -> BenchReport {
-        let total: Duration = self.run.latencies.iter().sum();
-        let secs = total.as_secs_f64();
-        let mut r = BenchReport {
-            workload: "replicate".into(),
-            scenario: "replica-set-3".into(),
-            mode: self.mode().into(),
-            duration_ms: secs * 1e3,
-            committed: self.run.committed,
-            aborted: self.run.aborted,
-            throughput_tps: if secs > 0.0 { self.run.committed as f64 / secs } else { 0.0 },
-            p50_ms: self.p50().as_secs_f64() * 1e3,
-            p95_ms: self.percentile(95).as_secs_f64() * 1e3,
-            p99_ms: self.percentile(99).as_secs_f64() * 1e3,
-            ..BenchReport::default()
-        };
-        r.config.insert("replicas".into(), "3".into());
-        r.config.insert("transfers".into(), (self.run.committed + self.run.aborted).to_string());
-        r
-    }
-}
-
-/// The `tables replicate` workload: healthy versus replica-killed commit
-/// latency, with the 3x degradation acceptance gate.
-pub struct ReplicateWorkload;
-
-impl Workload for ReplicateWorkload {
-    fn name(&self) -> &'static str {
-        "replicate"
-    }
-
-    fn describe(&self) -> &'static str {
-        "replicated-shard commit latency: full replica set vs one follower killed"
-    }
-
-    fn run(&self, opts: &RunOpts) -> Result<WorkloadOutput, String> {
-        let transfers = opts.iters.unwrap_or(if opts.quick { 60 } else { 200 });
-        let (healthy, killed) = compare(transfers, opts.seed)?;
-        let gate_failure = (killed.p50() > healthy.p50() * 3).then(|| {
-            format!(
-                "replica-killed p50 {:?} exceeds 3x the healthy p50 {:?}",
-                killed.p50(),
-                healthy.p50()
-            )
-        });
-        Ok(WorkloadOutput {
-            text: render(&[healthy.clone(), killed.clone()]),
-            reports: vec![healthy.to_report(), killed.to_report()],
-            gate_failure,
-        })
     }
 }
 
@@ -119,6 +64,18 @@ pub fn compare(transfers: u32, seed: u64) -> Result<(ReplicateResult, ReplicateR
     let healthy = run(false, transfers, seed)?;
     let killed = run(true, transfers, seed)?;
     Ok((healthy, killed))
+}
+
+/// The degradation gate: the replica-killed p50 is within 3x the healthy
+/// p50.
+pub fn gate(healthy: &ReplicateResult, killed: &ReplicateResult) -> Option<String> {
+    (killed.p50() > healthy.p50() * 3).then(|| {
+        format!(
+            "replica-killed p50 {:?} exceeds 3x the healthy p50 {:?}",
+            killed.p50(),
+            healthy.p50()
+        )
+    })
 }
 
 /// ASCII table over any set of replication results.
@@ -176,39 +133,5 @@ mod tests {
         let table = render(&[healthy, killed]);
         assert!(table.contains("replica-killed"), "{table}");
         assert!(table.contains("2.00x the healthy p50"), "{table}");
-    }
-
-    /// The gated row must survive the BENCH json round trip unchanged —
-    /// byte-identical re-serialization via the file wrapper.
-    #[test]
-    fn report_rows_round_trip_through_bench_json() {
-        let file = crate::report::BenchFile::new(
-            "2026-08-09",
-            vec![result(false, &[10, 20]).to_report(), result(true, &[15, 30]).to_report()],
-        );
-        let json = file.to_json();
-        let parsed = crate::report::BenchFile::parse(&json).expect("replicate rows parse");
-        assert_eq!(parsed, file, "parse(to_json) must be identity");
-        assert_eq!(parsed.to_json(), json, "re-serialization must be byte-identical");
-    }
-
-    /// Re-running the workload upserts its rows in place of duplicating
-    /// them: same workload/scenario/mode/config key, refreshed numbers.
-    #[test]
-    fn rerun_rows_upsert_instead_of_duplicating() {
-        let mut file = crate::report::BenchFile::new(
-            "2026-08-09",
-            vec![result(false, &[10]).to_report(), result(true, &[20]).to_report()],
-        );
-        let before = file.runs.len();
-        let refreshed = result(true, &[40]).to_report();
-        file.upsert(vec![result(false, &[30]).to_report(), refreshed.clone()]);
-        assert_eq!(file.runs.len(), before, "rerun must not add rows");
-        let killed_row = file
-            .runs
-            .iter()
-            .find(|r| r.workload == "replicate" && r.mode == "replica-killed")
-            .expect("killed row present");
-        assert_eq!(killed_row, &refreshed, "upsert must refresh the row in place");
     }
 }

@@ -175,6 +175,31 @@ pub fn table_5_4(results: &[BenchResult]) -> String {
     out
 }
 
+/// Table 5-4's priced columns alone: our counts × Table 5-1 times
+/// (`pred-ours`), the improved-architecture counts × Table 5-1 times
+/// (`improved`) and × Table 5-5 times (`new-prims`). Counts are
+/// deterministic at fixed iterations, so this rendering is too; `ours-us`,
+/// a wall time, is left out.
+pub fn table_5_4_priced(results: &[BenchResult]) -> String {
+    let mut out = String::new();
+    out.push_str("Table 5-4, priced columns (ms): our counts x Table 5-1 (pred-ours),\n");
+    out.push_str(
+        "improved-architecture counts x Table 5-1 (improved) and x Table 5-5 (new-prims)\n\n",
+    );
+    out.push_str(&format!(
+        "{:<34} {:>9} {:>9} {:>9}\n",
+        "Benchmark", "pred-ours", "improved", "new-prims"
+    ));
+    for r in results {
+        let p = Projection::of(r);
+        out.push_str(&format!(
+            "{:<34} {:>9.1} {:>9.1} {:>9.1}\n",
+            r.name, p.predicted_ms, p.improved_ms, p.new_primitives_ms
+        ));
+    }
+    out
+}
+
 /// Shape comparison: the latency ratios that must reproduce regardless of
 /// absolute hardware speed.
 pub fn shape_report(results: &[BenchResult]) -> String {

@@ -14,8 +14,19 @@ use common::boot_with_array_cells;
 #[test]
 fn concurrent_transfers_conserve_money() {
     // Classic serializability check: N accounts, concurrent random
-    // transfers with retries; the total is invariant.
-    let cluster = Cluster::new();
+    // transfers with retries; the total is invariant. Two inputs: locks
+    // taken in index order (no cycles, so pure waiting under the lock
+    // time-out), and in transfer order with the deadlock detector on, so
+    // cycles form and the detector's victims abort and retry.
+    for (config, ordered) in [
+        (ClusterConfig::default(), true),
+        (ClusterConfig::default().deadlock_detection(true), false),
+    ] {
+        transfers_conserve_money(Cluster::with_config(config), ordered);
+    }
+}
+
+fn transfers_conserve_money(cluster: Arc<Cluster>, ordered: bool) {
     let (node, arr) = boot_with_array_cells(&cluster, 1, "accounts", 8);
     let app = node.app();
     let client = IntArrayClient::new(app.clone(), arr.send_right());
@@ -47,10 +58,11 @@ fn concurrent_transfers_conserve_money() {
                     let from = rand() % ACCOUNTS;
                     let to = (from + 1 + rand() % (ACCOUNTS - 1)) % ACCOUNTS;
                     let amount = (rand() % 50) as i64;
-                    // Lock accounts in index order to avoid deadlocks, and
-                    // retry on lock time-outs (the paper's resolution
-                    // aborts one side; retry is the standard response).
-                    let (first, second) = if from < to { (from, to) } else { (to, from) };
+                    // Retry on lock time-outs and deadlock victims (the
+                    // paper's resolution aborts one side; retry is the
+                    // standard response).
+                    let (first, second) =
+                        if ordered && from > to { (to, from) } else { (from, to) };
                     let r = app.run_with_retries(8, |t| {
                         let d_first = if first == from { -amount } else { amount };
                         client.add(t, first, d_first)?;
@@ -66,7 +78,7 @@ fn concurrent_transfers_conserve_money() {
     });
     assert!(
         succeeded.load(Ordering::Relaxed) >= 45,
-        "most transfers should eventually succeed, got {}",
+        "most transfers should eventually succeed (ordered={ordered}), got {}",
         succeeded.load(Ordering::Relaxed)
     );
     let total: i64 = {
@@ -75,7 +87,7 @@ fn concurrent_transfers_conserve_money() {
         app.end_transaction(t).unwrap();
         sum
     };
-    assert_eq!(total, PER_ACCOUNT * ACCOUNTS as i64, "money conserved");
+    assert_eq!(total, PER_ACCOUNT * ACCOUNTS as i64, "money conserved (ordered={ordered})");
     node.shutdown();
 }
 
@@ -244,6 +256,13 @@ fn cross_node_deadlock_broken_well_before_timeout() {
         sum
     };
     assert_eq!(total, 2 * OPENING, "money conserved across deadlock resolution");
+    // The remote calls' frames were forwarded from the receive buffer,
+    // never decoded into owned copies and re-encoded.
+    for node in [NodeId(1), NodeId(2)] {
+        let m = cluster.metrics(node).snapshot();
+        assert!(m.counter("cm.session.rx.zero_copy") > 0, "{node:?}: no zero-copy frames");
+        assert_eq!(m.counter("cm.session.rx.fallback"), 0, "{node:?}: fallback frames");
+    }
     n1.shutdown();
     n2.shutdown();
 }
